@@ -1,0 +1,75 @@
+"""Golden corpus: CLI outputs that must stay byte-identical.
+
+Each case runs ``cli.main`` on a committed input under ``tests/golden/inputs``
+and compares the written output with ``tests/golden/<case>`` byte for byte.
+The corpus covers block witnesses, noisy planted spaces, shortest-path random
+metrics, a 30-point space where the exact search is refused, and hand-made
+spaces with distances exactly r, 2r and 3r, where the strict and closed
+threshold conventions differ. One of them breaks the triangle inequality so
+that the greedy long-edge matching is not empty.
+
+To re-record after an intended output change, run from the repository root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+from pathlib import Path
+
+import pytest
+
+from clustercert.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+# (input stem, r, k) for analyze, greedy and exact.
+SPACES = [
+    ("tight_k2", "1", 2),
+    ("tight_k3", "1/2", 3),
+    ("planted_k2", "1", 2),
+    ("planted_k3", "1", 3),
+    ("planted_r34", "3/4", 2),
+    ("planted_n30", "1", 3),
+    ("metric_n10", "1", 2),
+    ("metric_n12", "1/2", 1),
+    ("p4_boundary", "1", 2),
+    ("line_thresholds", "1", 2),
+    ("star_semimetric", "1", 2),
+]
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for stem, r, k in SPACES:
+        for cmd in ("analyze", "greedy", "exact"):
+            if cmd == "exact" and stem == "planted_n30":
+                continue  # above the exact-search limit; analyze records the refusal
+            argv = [cmd, "--input", str(INPUTS / f"{stem}.space"), "--r", r, "--k", str(k)]
+            cases[f"{stem}.{cmd}.json"] = argv
+    cases["tight_k2.analyze.txt"] = cases["tight_k2.analyze.json"] + ["--format", "text"]
+    cases["weighted.discretize.space"] = [
+        "discretize", "--input", str(INPUTS / "weighted.space"), "--eps", "0.2"
+    ]
+    cases["weighted_json.discretize.space"] = [
+        "discretize", "--input", str(INPUTS / "weighted.json"), "--eps", "1/2"
+    ]
+    cases["verify_seed42.json"] = ["verify", "--seed", "42", "--trials", "200"]
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv: list[str], out: Path) -> bytes:
+    assert main(argv + ["--output", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_byte_identical(name, tmp_path):
+    assert _run(CASES[name], tmp_path / name) == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    for name, argv in sorted(CASES.items()):
+        _run(argv, GOLDEN / name)
+        print(f"recorded {name}")

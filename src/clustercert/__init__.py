@@ -8,11 +8,13 @@ rational arithmetic.
 """
 from .bounds import (
     BoundCertificate,
+    BoundEvaluation,
     BoundInputs,
     ParameterError,
     PsiResult,
     Verdict,
     build_certificate,
+    evaluate_bounds,
     lambda_param,
     alpha_prime,
     legacy_bound,

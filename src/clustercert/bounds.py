@@ -21,12 +21,14 @@ from .space import FiniteSemimetricSpace, ScaleParams, as_fraction
 __all__ = [
     "ParameterError",
     "BoundInputs",
+    "BoundEvaluation",
     "PsiResult",
     "Verdict",
     "BoundCertificate",
     "lambda_param",
     "alpha_prime",
     "precondition_check",
+    "evaluate_bounds",
     "psi_bound",
     "legacy_bound",
     "measure_meets_psi",
@@ -94,6 +96,35 @@ def precondition_check(inputs: BoundInputs) -> bool:
     return lhs <= Fraction(2, (k + 1) ** 3)
 
 
+@dataclass(frozen=True)
+class BoundEvaluation:
+    """Every gate on the improved bound, decided once for one input.
+
+    ``lam`` and ``alpha_prime`` are None exactly when alpha = 0, and
+    ``precondition_ok`` is False then. ``reason`` names the first failing
+    gate, in the order alpha = 0, precondition, alpha' <= 0; it is None
+    exactly when the bound is defined.
+    """
+
+    inputs: BoundInputs
+    lam: Fraction | None
+    alpha_prime: Fraction | None
+    precondition_ok: bool
+    reason: str | None
+
+
+def evaluate_bounds(inputs: BoundInputs) -> BoundEvaluation:
+    """Decide alpha > 0, the precondition and alpha' > 0 for ``inputs``."""
+    if inputs.alpha == 0:
+        return BoundEvaluation(inputs, None, None, False, "alpha is not separated from zero")
+    a_prime = alpha_prime(inputs)
+    ok = precondition_check(inputs)
+    reason = None if ok else "precondition inequality fails"
+    if ok and a_prime <= 0:
+        reason = "alpha - k^3/2 * lambda is not positive"
+    return BoundEvaluation(inputs, lambda_param(inputs), a_prime, ok, reason)
+
+
 def _decimal_context() -> decimal.Context:
     return decimal.Context(prec=_PRECISION)
 
@@ -132,13 +163,10 @@ class PsiResult:
 
 def psi_bound(inputs: BoundInputs) -> PsiResult:
     """1 - sqrt(delta)*(2k+1) - k!(k+2)*beta/alpha', when defined."""
-    if inputs.alpha == 0:
-        return PsiResult(False, None, None, False, "alpha is not separated from zero")
-    if not precondition_check(inputs):
-        return PsiResult(False, None, None, False, "precondition inequality fails")
-    a_prime = alpha_prime(inputs)
-    if a_prime <= 0:
-        return PsiResult(False, None, a_prime, False, "alpha - k^3/2 * lambda is not positive")
+    ev = evaluate_bounds(inputs)
+    a_prime = ev.alpha_prime if ev.precondition_ok else None
+    if ev.reason is not None:
+        return PsiResult(False, None, a_prime, False, ev.reason)
     k = inputs.k
     penalty = Fraction(factorial(k) * (k + 2)) * inputs.beta / a_prime
     ctx = _decimal_context()
@@ -170,13 +198,11 @@ def measure_meets_psi(measure: int, n: int, inputs: BoundInputs) -> bool | None:
     holds iff q <= 0 or (2k+1)^2 delta >= q^2. Returns None when the bound is
     undefined (precondition fails or alpha' <= 0) or n = 0.
     """
-    if n == 0 or inputs.alpha == 0 or not precondition_check(inputs):
-        return None
-    a_prime = alpha_prime(inputs)
-    if a_prime <= 0:
+    ev = evaluate_bounds(inputs)
+    if n == 0 or ev.reason is not None:
         return None
     k = inputs.k
-    q = 1 - Fraction(factorial(k) * (k + 2)) * inputs.beta / a_prime - Fraction(measure, n)
+    q = 1 - Fraction(factorial(k) * (k + 2)) * inputs.beta / ev.alpha_prime - Fraction(measure, n)
     if q <= 0:
         return True
     return (2 * k + 1) ** 2 * inputs.delta >= q * q
@@ -294,17 +320,7 @@ def build_certificate(
         alpha=observed.alpha_hat, beta=observed.beta_hat, delta=observed.delta_hat, k=k
     )
 
-    if inputs.alpha == 0:
-        lam = None
-        a_prime = None
-        precondition_ok = False
-        precondition_reason = "alpha is not separated from zero"
-    else:
-        lam = lambda_param(inputs)
-        a_prime = alpha_prime(inputs)
-        precondition_ok = precondition_check(inputs)
-        precondition_reason = None if precondition_ok else "precondition inequality fails"
-
+    ev = evaluate_bounds(inputs)
     psi = psi_bound(inputs)
     legacy = legacy_bound(inputs.beta, inputs.delta, k)
 
@@ -372,10 +388,10 @@ def build_certificate(
         r=params.r,
         k=k,
         observed=observed,
-        lam=lam,
-        alpha_prime=a_prime,
-        precondition_ok=precondition_ok,
-        precondition_reason=precondition_reason,
+        lam=ev.lam,
+        alpha_prime=ev.alpha_prime,
+        precondition_ok=ev.precondition_ok,
+        precondition_reason=None if ev.precondition_ok else ev.reason,
         psi=psi.value,
         psi_vacuous=psi.vacuous,
         psi_reason=psi.reason,

@@ -54,23 +54,15 @@ def _read_text(path: str) -> str:
         raise SpaceFormatError(f"{path}: {exc}") from exc
 
 
-def _read_space(path: str) -> FiniteSemimetricSpace:
+def _read_input(path: str, from_obj, from_text):
+    """Parse a JSON-object or text file with the matching parser, naming the
+    file in any error. Wrongly typed JSON fields surface as TypeError."""
     text = _read_text(path)
     try:
         if text.lstrip().startswith("{"):
-            return space_from_obj(json.loads(text))
-        return load_space(text)
-    except (SpaceFormatError, ValueError, json.JSONDecodeError) as exc:
-        raise SpaceFormatError(f"{path}: {exc}") from exc
-
-
-def _read_weighted(path: str) -> generators.WeightedFiniteSpace:
-    text = _read_text(path)
-    try:
-        if text.lstrip().startswith("{"):
-            return generators.weighted_space_from_obj(json.loads(text))
-        return generators.load_weighted_space(text)
-    except (SpaceFormatError, ValueError, json.JSONDecodeError) as exc:
+            return from_obj(json.loads(text))
+        return from_text(text)
+    except (ValueError, TypeError) as exc:
         raise SpaceFormatError(f"{path}: {exc}") from exc
 
 
@@ -145,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    space = _read_space(args.input)
+    space = _read_input(args.input, space_from_obj, load_space)
     params = ScaleParams(r=args.r, k=args.k)
     cert = bounds.build_certificate(
         space, params, include_exact=not args.no_exact, exact_limit=args.exact_limit
@@ -155,7 +147,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_greedy(args) -> int:
-    space = _read_space(args.input)
+    space = _read_input(args.input, space_from_obj, load_space)
     params = ScaleParams(r=args.r, k=args.k)
     decomp = clustering.greedy_decomposition(space, params)
     obj = {
@@ -186,7 +178,7 @@ def _cmd_greedy(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    space = _read_space(args.input)
+    space = _read_input(args.input, space_from_obj, load_space)
     params = ScaleParams(r=args.r, k=args.k)
     result = clustering.exact_structure(space, params, max_points=args.exact_limit)
     obj = {
@@ -204,15 +196,21 @@ def _cmd_exact(args) -> int:
 
 def _cmd_generate(args) -> int:
     if args.config:
-        spec = json.loads(_read_text(args.config))
-        kind = spec.get("kind")
-        r = as_fraction(spec.get("r", "1"))
-        k = int(spec.get("k", 1))
-        m = spec.get("m")
-        m0 = spec.get("m0")
-        block_sizes = spec.get("blockSizes")
-        noise = as_fraction(spec.get("noise", 0))
-        seed = int(spec.get("seed", 0))
+        text = _read_text(args.config)
+        try:
+            spec = json.loads(text)
+            if not isinstance(spec, dict) or not isinstance(spec.get("blockSizes", []), list):
+                raise TypeError("generator config must be a JSON object with a blockSizes list")
+            kind = spec.get("kind")
+            r = as_fraction(spec.get("r", "1"))
+            k = int(spec.get("k", 1))
+            m = spec.get("m")
+            m0 = spec.get("m0")
+            block_sizes = [int(b) for b in spec.get("blockSizes", [])]
+            noise = as_fraction(spec.get("noise", 0))
+            seed = int(spec.get("seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise SpaceFormatError(f"{args.config}: {exc}") from exc
     else:
         kind = args.kind
         r = args.r
@@ -239,7 +237,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_discretize(args) -> int:
-    weighted = _read_weighted(args.input)
+    weighted = _read_input(
+        args.input, generators.weighted_space_from_obj, generators.load_weighted_space
+    )
     partition = generators.epsilon_partition(weighted, args.eps)
     space = generators.uniformize(
         weighted, partition, args.eps, max_total_multiplicity=args.max_multiplicity
@@ -276,10 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (SpaceFormatError, clustering.SearchLimitError, bounds.ParameterError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, clustering.SearchLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

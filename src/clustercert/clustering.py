@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import stats
-from .space import FiniteSemimetricSpace, ScaleParams, as_fraction
+from .space import FiniteSemimetricSpace, ScaleParams, _bits, _mask
 
 __all__ = [
     "SearchLimitError",
@@ -120,18 +120,11 @@ def max_cluster(space: FiniteSemimetricSpace, points: Iterable[int], d) -> froze
     subtrees that cannot strictly beat the incumbent, so the first optimum
     found -- and returned -- is the lexicographically smallest one.
     """
-    d = as_fraction(d)
-    pts = sorted(set(points))
-    if not pts:
+    full = _mask(points)
+    if not full:
         return frozenset()
-    adj: dict[int, int] = {}
-    for a in pts:
-        row = space.dist[a]
-        mask = 0
-        for b in pts:
-            if b != a and row[b] <= d:
-                mask |= 1 << b
-        adj[a] = mask
+    # A vertex's own bit is never a candidate when its row is read.
+    adj = space.within(d)
 
     def color_bound(cand: int) -> int:
         # Greedy proper coloring of the candidate set: clique size <= #colors.
@@ -168,9 +161,6 @@ def max_cluster(space: FiniteSemimetricSpace, points: Iterable[int], d) -> froze
             cand &= cand - 1
             expand(current + [v], cand & adj[v])
 
-    full = 0
-    for p in pts:
-        full |= 1 << p
     expand([], full)
     return frozenset(best)
 
@@ -180,23 +170,17 @@ def _greedy_long_matching(
 ) -> tuple[tuple[int, int], ...]:
     """Inclusion-wise maximal matching of long edges (rho > 3r), taken
     greedily in lexicographic edge order."""
-    pts = sorted(set(points))
-    covered: set[int] = set()
+    not_long = space.within(3 * r)
+    free = _mask(points)
     matching: list[tuple[int, int]] = []
-    for a_idx in range(len(pts)):
-        a = pts[a_idx]
-        if a in covered:
-            continue
-        row = space.dist[a]
-        for b_idx in range(a_idx + 1, len(pts)):
-            b = pts[b_idx]
-            if b in covered:
-                continue
-            if row[b] > 3 * r:
-                matching.append((a, b))
-                covered.add(a)
-                covered.add(b)
-                break
+    while free:
+        a = (free & -free).bit_length() - 1
+        free ^= 1 << a
+        partners = free & ~not_long[a]
+        if partners:
+            b = (partners & -partners).bit_length() - 1
+            free ^= 1 << b
+            matching.append((a, b))
     return tuple(matching)
 
 
@@ -212,29 +196,24 @@ def greedy_decomposition(space: FiniteSemimetricSpace, params: ScaleParams) -> G
     """
     r = params.r
     k = params.k
-    n = space.n
+    near = space.within(r, strict=True)
     residual = set(space.points())
-    raw: list[tuple[set[int], frozenset[int]]] = []
+    parts: list[DecompositionPart] = []
     while residual:
         x = max_cluster(space, residual, 2 * r)
-        z = set()
-        for p in residual:
-            row = space.dist[p]
-            if min(row[q] for q in x) < r:
-                z.add(p)
-        raw.append((z, x))
+        reach = 0
+        for q in x:
+            reach |= near[q]
+        z = frozenset(p for p in residual if reach >> p & 1)
         residual -= z
-    parts: list[DecompositionPart] = []
-    for idx, (z, x) in enumerate(raw):
         matching = _greedy_long_matching(space, z - x, r)
         u = frozenset(p for edge in matching for p in edge)
-        y = frozenset(z - x - u)
         parts.append(
             DecompositionPart(
-                index=idx,
-                z=frozenset(z),
+                index=len(parts),
+                z=z,
                 x=x,
-                y=y,
+                y=z - x - u,
                 u=u,
                 matching=matching,
                 medium_edges=stats.medium_edge_count(space, r, points=z),
@@ -312,21 +291,8 @@ def exact_structure(
     r = params.r
     if n > max_points:
         raise SearchLimitError(f"{n} points exceeds the exact-search limit of {max_points}")
-    share = []
-    sep = []
-    for p in range(n):
-        row = space.dist[p]
-        share_mask = 0
-        sep_mask = 0
-        for q in range(n):
-            if q == p:
-                continue
-            if row[q] <= 2 * r:
-                share_mask |= 1 << q
-            if row[q] >= r:
-                sep_mask |= 1 << q
-        share.append(share_mask)
-        sep.append(sep_mask)
+    share = space.within(2 * r)
+    close = space.within(r, strict=True)
 
     cluster_masks = [0] * k
     best_measure = -1
@@ -346,16 +312,13 @@ def exact_structure(
         if measure + (n - p) <= best_measure:
             return
         bit = 1 << p
+        assigned = 0
+        for members in cluster_masks:
+            assigned |= members
         for c in range(min(opened + 1, k)):
             members = cluster_masks[c]
-            if members & ~share[p]:
-                continue
-            feasible = True
-            for other in range(opened):
-                if other != c and cluster_masks[other] & ~sep[p]:
-                    feasible = False
-                    break
-            if not feasible:
+            # Clusters are disjoint, so assigned ^ members is every other cluster.
+            if members & ~share[p] or (assigned ^ members) & close[p]:
                 continue
             cluster_masks[c] = members | bit
             rec(p + 1, max(opened, c + 1), measure + 1)
@@ -368,12 +331,8 @@ def exact_structure(
     except _NodeBudget:
         optimal = False
 
-    clusters = []
-    for mask in best_snapshot:
-        members = frozenset(i for i in range(n) if mask >> i & 1)
-        clusters.append(members)
     return ExactSearchResult(
-        structure=ClusterStructure(clusters=tuple(clusters)),
+        structure=ClusterStructure(clusters=tuple(frozenset(_bits(m)) for m in best_snapshot)),
         optimal=optimal,
         nodes_explored=nodes,
     )
@@ -403,23 +362,22 @@ def validate_structure(
 ) -> StructureValidation:
     """Check diameter, pairwise separation, and disjointness, reporting every
     violation with a witness pair. Violations are data, not errors."""
-    r = params.r
+    share = space.within(2 * params.r)
+    close = space.within(params.r, strict=True)
     violations: list[StructureViolation] = []
     clusters = structure.clusters
     for i, cluster in enumerate(clusters):
-        pts = sorted(cluster)
-        for a in range(len(pts)):
-            row = space.dist[pts[a]]
-            for b in range(a + 1, len(pts)):
-                if row[pts[b]] > 2 * r:
-                    violations.append(
-                        StructureViolation(
-                            kind="diameter",
-                            clusters=(i,),
-                            points=(pts[a], pts[b]),
-                            distance=row[pts[b]],
-                        )
+        members = _mask(cluster)
+        for a in _bits(members):
+            for b in _bits(members & ~share[a] & ~((2 << a) - 1)):
+                violations.append(
+                    StructureViolation(
+                        kind="diameter",
+                        clusters=(i,),
+                        points=(a, b),
+                        distance=space.dist[a][b],
                     )
+                )
     for i in range(len(clusters)):
         for j in range(i + 1, len(clusters)):
             shared = clusters[i] & clusters[j]
@@ -435,11 +393,11 @@ def validate_structure(
                 continue
             if clusters[i] and clusters[j]:
                 witness = None
+                others = _mask(clusters[j])
                 for u in sorted(clusters[i]):
-                    row = space.dist[u]
-                    for v in sorted(clusters[j]):
-                        if row[v] < r and (witness is None or row[v] < witness[2]):
-                            witness = (u, v, row[v])
+                    for v in _bits(close[u] & others):
+                        if witness is None or space.dist[u][v] < witness[2]:
+                            witness = (u, v, space.dist[u][v])
                 if witness is not None:
                     violations.append(
                         StructureViolation(

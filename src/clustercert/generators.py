@@ -7,6 +7,7 @@ bit-for-bit.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,6 +16,7 @@ from typing import Sequence
 from .space import (
     FiniteSemimetricSpace,
     SpaceFormatError,
+    _bits,
     _parse_space_lines,
     as_fraction,
     build_space,
@@ -241,17 +243,14 @@ def epsilon_partition(w: WeightedFiniteSpace, eps) -> tuple[tuple[int, ...], ...
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    space = w.base
-    radius = eps / 2
-    uncovered = set(space.points())
+    near = w.base.within(eps / 2)
+    uncovered = (1 << w.base.n) - 1
     parts: list[tuple[int, ...]] = []
-    for pivot in space.points():
-        if pivot not in uncovered:
-            continue
-        row = space.dist[pivot]
-        part = tuple(sorted(p for p in uncovered if row[p] <= radius))
-        uncovered.difference_update(part)
-        parts.append(part)
+    while uncovered:
+        pivot = (uncovered & -uncovered).bit_length() - 1
+        part = uncovered & near[pivot]
+        uncovered ^= part
+        parts.append(tuple(_bits(part)))
     return tuple(parts)
 
 
@@ -292,9 +291,7 @@ def uniformize(
             raise RuntimeError("weight truncation failed to converge")
     numerators = [int(q * scale) for q in truncated]
 
-    g = 0
-    for a in numerators:
-        g = _gcd(g, a)
+    g = math.gcd(*numerators)
     multiplicities = [a // g for a in numerators]
     total = sum(multiplicities)
     if total > max_total_multiplicity:
@@ -324,12 +321,6 @@ def uniformize(
                 row.append(cross[block_of[i]][block_of[j]])
         dist.append(row)
     return build_space(labels, dist)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +362,8 @@ def weighted_space_from_obj(obj: dict) -> WeightedFiniteSpace:
     if raw is None:
         weights = [Fraction(1)] * space.n
     else:
+        if not isinstance(raw, list):
+            raise SpaceFormatError(f"weights must be a list, got {type(raw).__name__}")
         if len(raw) != space.n:
             raise SpaceFormatError(f"expected {space.n} weights, got {len(raw)}")
         weights = [as_fraction(x) for x in raw]

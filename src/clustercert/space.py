@@ -16,7 +16,8 @@ import decimal
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "SpaceFormatError",
@@ -146,6 +147,63 @@ class FiniteSemimetricSpace:
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"unknown point label {label!r}") from None
+
+    def within(self, d, *, strict: bool = False) -> tuple[int, ...]:
+        """Threshold graph at distance ``d`` as one bitmask per point.
+
+        Bit q of row p is set iff rho(p, q) <= d, or rho(p, q) < d when
+        ``strict`` is set. The rows are symmetric, and the diagonal bit is set
+        whenever d >= 0 (d > 0 if strict). Every scale predicate of the
+        library is a mask expression over these rows: short pairs are
+        ``within(r)``, medium pairs ``within(3r) & ~within(r)``, long pairs
+        ``~within(3r)``, far (anticlique) pairs ``~within(r)``, cluster mates
+        ``within(2r)``, separated pairs ``~within(r, strict=True)`` and the
+        greedy neighborhood ``within(r, strict=True)``.
+
+        Memoized on the instance per (d, strict): each threshold costs n^2
+        exact comparisons once, and the rows go away with the space.
+        """
+        d = as_fraction(d)
+        memo = self._within_memo
+        if (d, strict) not in memo:
+            reached = d.__gt__ if strict else d.__ge__
+            memo[d, strict] = tuple(
+                _mask(q for q, x in enumerate(row) if reached(x)) for row in self.dist
+            )
+        return memo[d, strict]
+
+    @cached_property
+    def _within_memo(self) -> dict:
+        return {}
+
+    @cached_property
+    def _field_hash(self) -> int:
+        return hash((self.labels, self.dist))
+
+    def __hash__(self) -> int:
+        # Memo lookups keyed by a space hash it each time; hashing n^2
+        # Fractions once per instance keeps those lookups cheap.
+        return self._field_hash
+
+    def __getstate__(self) -> dict:
+        # Caches stay behind: string hashes differ between processes.
+        return {"labels": self.labels, "dist": self.dist}
+
+
+def _mask(points: Iterable[int]) -> int:
+    """Bitmask with bit p set for each point p."""
+    mask = 0
+    for p in points:
+        mask |= 1 << p
+    return mask
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Set bit positions of a non-negative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def build_space(

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
-from .space import FiniteSemimetricSpace, ScaleParams, as_fraction
+from .space import FiniteSemimetricSpace, ScaleParams, _mask, as_fraction
 
 __all__ = [
     "ObservedParams",
@@ -43,10 +43,12 @@ class ObservedParams:
     anticliques_k_plus_1: int
 
 
-def _resolve_points(space: FiniteSemimetricSpace, points) -> list[int]:
-    if points is None:
-        return list(space.points())
-    return sorted(set(points))
+def _pair_count(space: FiniteSemimetricSpace, rows: Sequence[int], points) -> int:
+    """Pairs p < q of the subset (default: all points) with bit q of
+    ``rows[p]`` set, for symmetric ``rows``."""
+    pts = space.points() if points is None else set(points)
+    mask = _mask(pts)
+    return sum(((rows[p] & mask) >> (p + 1)).bit_count() for p in pts)
 
 
 def medium_edge_count(space: FiniteSemimetricSpace, r, points: Iterable[int] | None = None) -> int:
@@ -54,29 +56,15 @@ def medium_edge_count(space: FiniteSemimetricSpace, r, points: Iterable[int] | N
     to a point subset. Equals half the ordered-pair measure under the uniform
     counting measure."""
     r = as_fraction(r)
-    pts = _resolve_points(space, points)
-    count = 0
-    for a in range(len(pts)):
-        row = space.dist[pts[a]]
-        for b in range(a + 1, len(pts)):
-            d = row[pts[b]]
-            if r < d <= 3 * r:
-                count += 1
-    return count
+    medium = [reach & ~near for reach, near in zip(space.within(3 * r), space.within(r))]
+    return _pair_count(space, medium, points)
 
 
 def long_edge_count(space: FiniteSemimetricSpace, r, points: Iterable[int] | None = None) -> int:
     """Number of unordered pairs at distance above 3r, optionally restricted
     to a point subset."""
     r = as_fraction(r)
-    pts = _resolve_points(space, points)
-    count = 0
-    for a in range(len(pts)):
-        row = space.dist[pts[a]]
-        for b in range(a + 1, len(pts)):
-            if row[pts[b]] > 3 * r:
-                count += 1
-    return count
+    return _pair_count(space, [~row for row in space.within(3 * r)], points)
 
 
 def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
@@ -95,27 +83,18 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
     n = space.n
     if s > n:
         return 0
-    r = as_fraction(r)
-    far = []
-    for i in range(n):
-        mask = 0
-        row = space.dist[i]
-        for j in range(n):
-            if j != i and row[j] > r:
-                mask |= 1 << j
-        far.append(mask)
+    far = [~row for row in space.within(r)]
 
     def count(cand: int, need: int) -> int:
+        if need == 1:
+            return cand.bit_count()
         total = 0
         while cand:
             if cand.bit_count() < need:
                 break
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
-            if need == 1:
-                total += 1
-            else:
-                total += count(cand & far[v], need - 1)
+            total += count(cand & far[v], need - 1)
         return total
 
     return count((1 << n) - 1, s)

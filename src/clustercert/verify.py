@@ -118,15 +118,22 @@ def _check_p2(space, params):
     return CheckResult("P2", True, lhs >= rhs, lhs, rhs)
 
 
+def _bound_evaluation(space, params) -> bounds.BoundEvaluation:
+    obs = stats.observed_parameters(space, params)
+    return bounds.evaluate_bounds(
+        bounds.BoundInputs(obs.alpha_hat, obs.beta_hat, obs.delta_hat, params.k)
+    )
+
+
 def _check_p3(space, params):
     # Parts with thin kernels, (k+1)|X_i| <= |Z_i|, have total size at most
-    # (k+1) * beta_hat / alpha_hat * n.
-    obs = stats.observed_parameters(space, params)
-    if obs.alpha_hat == 0:
-        return _not_applicable("P3", "alpha_hat is zero")
+    # (k+1) * beta_hat / alpha_hat * n. Only alpha_hat > 0 is required.
+    ev = _bound_evaluation(space, params)
+    if ev.lam is None:
+        return _not_applicable("P3", ev.reason)
     decomp = clustering.greedy_decomposition(space, params)
     lhs = sum(len(decomp.parts[i].z) for i in decomp.i1)
-    rhs = (params.k + 1) * obs.beta_hat / obs.alpha_hat * space.n
+    rhs = (params.k + 1) * ev.inputs.beta / ev.inputs.alpha * space.n
     return CheckResult("P3", True, lhs <= rhs, lhs, rhs)
 
 
@@ -144,38 +151,28 @@ def _check_p5(space, params):
     # Under the precondition, the order-k anticlique count exceeds e_k(W) by
     # at most k*lambda_hat*n^k / (2(k-2)!). For k = 1 no pair contraction is
     # possible, so the slack term is zero.
-    obs = stats.observed_parameters(space, params)
     k = params.k
-    if obs.alpha_hat == 0:
-        return _not_applicable("P5", "alpha_hat is zero")
-    inputs = bounds.BoundInputs(obs.alpha_hat, obs.beta_hat, obs.delta_hat, k)
-    if not bounds.precondition_check(inputs):
-        return _not_applicable("P5", "precondition inequality fails")
-    lam = bounds.lambda_param(inputs)
+    ev = _bound_evaluation(space, params)
+    if not ev.precondition_ok:
+        return _not_applicable("P5", ev.reason)
     decomp = clustering.greedy_decomposition(space, params)
     slack = Fraction(0)
     if k >= 2:
-        slack = Fraction(k, 2) * lam * space.n**k / factorial(k - 2)
-    lhs = obs.anticliques_k
+        slack = Fraction(k, 2) * ev.lam * space.n**k / factorial(k - 2)
+    lhs = stats.observed_parameters(space, params).anticliques_k
     rhs = stats.elementary_symmetric(decomp.w, k) + slack
     return CheckResult("P5", True, lhs <= rhs, lhs, rhs)
 
 
 def _check_p6(space, params):
     # The k largest part sizes sum to at least (1 - (k+1)! beta/alpha') * n.
-    obs = stats.observed_parameters(space, params)
     k = params.k
-    if obs.alpha_hat == 0:
-        return _not_applicable("P6", "alpha_hat is zero")
-    inputs = bounds.BoundInputs(obs.alpha_hat, obs.beta_hat, obs.delta_hat, k)
-    if not bounds.precondition_check(inputs):
-        return _not_applicable("P6", "precondition inequality fails")
-    a_prime = bounds.alpha_prime(inputs)
-    if a_prime <= 0:
-        return _not_applicable("P6", "alpha' is not positive")
+    ev = _bound_evaluation(space, params)
+    if ev.reason is not None:
+        return _not_applicable("P6", ev.reason)
     decomp = clustering.greedy_decomposition(space, params)
     lhs = sum(decomp.w[:k])
-    rhs = (1 - Fraction(factorial(k + 1)) * obs.beta_hat / a_prime) * space.n
+    rhs = (1 - Fraction(factorial(k + 1)) * ev.inputs.beta / ev.alpha_prime) * space.n
     return CheckResult("P6", True, lhs >= rhs, lhs, rhs)
 
 
@@ -187,14 +184,10 @@ def _check_t1(space, params, exact_limit, node_budget):
     k = params.k
     if n == 0:
         return _not_applicable("T1", "empty space")
-    obs = stats.observed_parameters(space, params)
-    if obs.alpha_hat == 0:
-        return _not_applicable("T1", "alpha_hat is zero")
-    inputs = bounds.BoundInputs(obs.alpha_hat, obs.beta_hat, obs.delta_hat, k)
-    if not bounds.precondition_check(inputs):
-        return _not_applicable("T1", "precondition inequality fails")
-    if bounds.alpha_prime(inputs) <= 0:
-        return _not_applicable("T1", "alpha' is not positive")
+    ev = _bound_evaluation(space, params)
+    if ev.reason is not None:
+        return _not_applicable("T1", ev.reason)
+    inputs = ev.inputs
     if n > exact_limit:
         return _not_applicable("T1", f"{n} points exceeds the exact-search limit of {exact_limit}")
     decomp = clustering.greedy_decomposition(space, params)

@@ -53,6 +53,30 @@ class TestPrecondition:
         assert not cc.precondition_check(inputs)
 
 
+class TestEvaluateBounds:
+    @pytest.mark.parametrize(
+        "alpha, beta, delta, k, precondition_ok, reason",
+        [
+            (Fraction(0), TENTH4, Fraction(0), 2, False, "alpha is not separated from zero"),
+            (Fraction(2, 3), Fraction(2, 9), Fraction(0), 2, False, "precondition inequality fails"),
+            (Fraction(1, 100), Fraction(0), Fraction(1, 200), 2, True, "is not positive"),
+            (Fraction(1, 2), TENTH4, TENTH4, 2, True, None),
+        ],
+    )
+    def test_first_failing_gate(self, alpha, beta, delta, k, precondition_ok, reason):
+        inputs = cc.BoundInputs(alpha=alpha, beta=beta, delta=delta, k=k)
+        ev = cc.evaluate_bounds(inputs)
+        assert ev.precondition_ok == precondition_ok == cc.precondition_check(inputs)
+        assert (ev.reason is None) == (reason is None)
+        assert reason is None or reason in ev.reason
+        assert cc.psi_bound(inputs).reason == ev.reason
+        if alpha == 0:
+            assert ev.lam is None and ev.alpha_prime is None
+        else:
+            assert ev.lam == cc.lambda_param(inputs)
+            assert ev.alpha_prime == cc.alpha_prime(inputs)
+
+
 class TestPsiBound:
     def test_reference_value_k2(self):
         inputs = cc.BoundInputs(alpha=Fraction(1, 2), beta=TENTH4, delta=TENTH4, k=2)

@@ -203,3 +203,25 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["kValues"] == [1, 2]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["generate", "--config"], "[]"),
+            (["generate", "--config"], '{"kind": "planted", "k": 1, "blockSizes": 3, "r": "1"}'),
+            (
+                ["discretize", "--eps", "0.1", "--input"],
+                '{"labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]], "weights": 5}',
+            ),
+            (["analyze", "--r", "1", "--k", "1", "--input"], '{"labels": 5, "dist": 5}'),
+        ],
+        ids=["config-not-object", "block-sizes-not-list", "weights-not-list", "labels-not-list"],
+    )
+    def test_exit_1_with_one_error_line(self, capsys, tmp_path, argv, content):
+        path = tmp_path / "input.json"
+        path.write_text(content, encoding="utf-8")
+        code, out, err = _run(capsys, *argv, str(path))
+        assert code == 1 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1

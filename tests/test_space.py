@@ -1,3 +1,9 @@
+import gc
+import os
+import pickle
+import subprocess
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,6 +13,7 @@ import clustercert as cc
 from clustercert.space import SpaceFormatError
 
 import oracles
+from conftest import S3_LABELS, S3_MATRIX
 
 
 class TestBuildSpace:
@@ -119,6 +126,57 @@ class TestClassifyEdge:
         for i in range(space.n):
             for j in range(i + 1, space.n):
                 assert cc.classify_edge(space, i, j, r) is cc.classify_edge(space, j, i, r)
+
+
+class TestWithin:
+    @given(
+        space=oracles.semimetric_spaces(),
+        d=st.sampled_from(oracles.PALETTE),
+        strict=st.booleans(),
+    )
+    def test_rows_match_the_distance_table(self, space, d, strict):
+        rows = space.within(d, strict=strict)
+        for p in range(space.n):
+            for q in range(space.n):
+                rho = space.rho(p, q)
+                assert bool(rows[p] >> q & 1) == (rho < d if strict else rho <= d)
+            assert rows[p] >> space.n == 0
+
+    def test_memoized_per_threshold(self, s3):
+        assert s3.within("1/2") is s3.within(Fraction(1, 2))
+        assert s3.within(Fraction(1, 2), strict=True) == (0b001, 0b010, 0b100)
+        assert s3.within(Fraction(1, 2)) == (0b011, 0b011, 0b100)
+
+    def test_memo_does_not_keep_the_space_alive(self):
+        space = cc.build_space(["a", "b"], [["0", "1"], ["1", "0"]])
+        space.within(1)
+        hash(space)
+        ref = weakref.ref(space)
+        del space
+        gc.collect()
+        assert ref() is None
+
+
+class TestHash:
+    def test_equal_spaces_hash_equal(self, s3):
+        twin = cc.build_space(S3_LABELS, S3_MATRIX)
+        assert hash(s3) == hash(twin) and s3 == twin
+
+    def test_pickle_carries_no_stale_hash(self, s3):
+        # Label hashes differ between processes, so a hash cached in one
+        # process must not travel with the pickle.
+        script = (
+            "import pickle, sys, clustercert as cc\n"
+            f"s = cc.build_space({S3_LABELS!r}, {S3_MATRIX!r})\n"
+            "hash(s)\n"
+            "sys.stdout.buffer.write(pickle.dumps(s))\n"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": "1"}
+        blob = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, check=True
+        ).stdout
+        clone = pickle.loads(blob)
+        assert clone == s3 and hash(clone) == hash(s3)
 
 
 class TestSubsetDiameter:

@@ -29,6 +29,12 @@ class TestMediumEdgeCount:
         assert cc.medium_edge_count(space, r) == oracles.medium_edges(space, r)
         assert cc.long_edge_count(space, r) == oracles.long_edges(space, r)
 
+    @pytest.mark.parametrize("r", [Fraction(-1), Fraction(0)])
+    def test_non_positive_scale_matches_enumeration(self, s3, r):
+        # Every pair is long here, and no point pairs with itself.
+        assert cc.long_edge_count(s3, r) == oracles.long_edges(s3, r) == 3
+        assert cc.medium_edge_count(s3, r) == oracles.medium_edges(s3, r) == 0
+
 
 class TestAnticliqueCount:
     def test_three_point_example(self, s3):

@@ -6,7 +6,8 @@ The corpus covers block witnesses, noisy planted spaces, shortest-path random
 metrics, a 30-point space where the exact search is refused, and hand-made
 spaces with distances exactly r, 2r and 3r, where the strict and closed
 threshold conventions differ. One of them breaks the triangle inequality so
-that the greedy long-edge matching is not empty.
+that the greedy long-edge matching is not empty. The ``generate`` cases pin
+the block witness and the noisy planted generator.
 
 To re-record after an intended output change, run from the repository root:
 
@@ -46,6 +47,17 @@ def _cases() -> dict[str, list[str]]:
             argv = [cmd, "--input", str(INPUTS / f"{stem}.space"), "--r", r, "--k", str(k)]
             cases[f"{stem}.{cmd}.json"] = argv
     cases["tight_k2.analyze.txt"] = cases["tight_k2.analyze.json"] + ["--format", "text"]
+    # k above n: the structure is padded with empty clusters.
+    cases["tight_k2.analyze_k12.json"] = [
+        "analyze", "--input", str(INPUTS / "tight_k2.space"), "--r", "1", "--k", "12"
+    ]
+    cases["tight.generate.space"] = [
+        "generate", "--kind", "tight", "--r", "1", "--k", "2", "--m", "3", "--m0", "4"
+    ]
+    cases["planted.generate.space"] = [
+        "generate", "--kind", "planted", "--r", "1/2", "--k", "3",
+        "--block-sizes", "4,3,3", "--noise", "1/10", "--seed", "17",
+    ]
     cases["weighted.discretize.space"] = [
         "discretize", "--input", str(INPUTS / "weighted.space"), "--eps", "0.2"
     ]

@@ -69,18 +69,12 @@ class BoundInputs:
 
 def lambda_param(inputs: BoundInputs) -> Fraction:
     """lam = (k+1)/2 * delta + (k+1)^2/2 * beta^2/alpha^2, exact."""
-    if inputs.alpha == 0:
-        raise ParameterError("lambda is undefined: alpha is not separated from zero")
-    k = inputs.k
-    return (
-        Fraction(k + 1, 2) * inputs.delta
-        + Fraction((k + 1) ** 2, 2) * inputs.beta**2 / inputs.alpha**2
-    )
+    return _defined(inputs).lam
 
 
 def alpha_prime(inputs: BoundInputs) -> Fraction:
     """alpha' = alpha - k^3/2 * lam, the effective denominator of the bound."""
-    return inputs.alpha - Fraction(inputs.k**3, 2) * lambda_param(inputs)
+    return _defined(inputs).alpha_prime
 
 
 def precondition_check(inputs: BoundInputs) -> bool:
@@ -89,11 +83,7 @@ def precondition_check(inputs: BoundInputs) -> bool:
     Returns False when alpha = 0 (the left side is undefined, so the bound
     machinery is inapplicable rather than erroneous).
     """
-    if inputs.alpha == 0:
-        return False
-    k = inputs.k
-    lhs = inputs.delta + (k + 1) * inputs.beta**2 / inputs.alpha**2
-    return lhs <= Fraction(2, (k + 1) ** 3)
+    return evaluate_bounds(inputs).precondition_ok
 
 
 @dataclass(frozen=True)
@@ -103,7 +93,8 @@ class BoundEvaluation:
     ``lam`` and ``alpha_prime`` are None exactly when alpha = 0, and
     ``precondition_ok`` is False then. ``reason`` names the first failing
     gate, in the order alpha = 0, precondition, alpha' <= 0; it is None
-    exactly when the bound is defined.
+    exactly when the bound is defined, that is, exactly when ``penalty`` =
+    k!(k+2) beta/alpha' is set.
     """
 
     inputs: BoundInputs
@@ -111,18 +102,34 @@ class BoundEvaluation:
     alpha_prime: Fraction | None
     precondition_ok: bool
     reason: str | None
+    penalty: Fraction | None = None
 
 
 def evaluate_bounds(inputs: BoundInputs) -> BoundEvaluation:
     """Decide alpha > 0, the precondition and alpha' > 0 for ``inputs``."""
     if inputs.alpha == 0:
         return BoundEvaluation(inputs, None, None, False, "alpha is not separated from zero")
-    a_prime = alpha_prime(inputs)
-    ok = precondition_check(inputs)
+    k = inputs.k
+    lam = (
+        Fraction(k + 1, 2) * inputs.delta
+        + Fraction((k + 1) ** 2, 2) * inputs.beta**2 / inputs.alpha**2
+    )
+    a_prime = inputs.alpha - Fraction(k**3, 2) * lam
+    # The precondition's left side is 2 lam/(k+1), so it reads lam <= 1/(k+1)^2.
+    ok = lam <= Fraction(1, (k + 1) ** 2)
     reason = None if ok else "precondition inequality fails"
     if ok and a_prime <= 0:
         reason = "alpha - k^3/2 * lambda is not positive"
-    return BoundEvaluation(inputs, lambda_param(inputs), a_prime, ok, reason)
+    penalty = None if reason else factorial(k) * (k + 2) * inputs.beta / a_prime
+    return BoundEvaluation(inputs, lam, a_prime, ok, reason, penalty)
+
+
+def _defined(inputs: BoundInputs) -> BoundEvaluation:
+    """The evaluation, or ParameterError when lambda is undefined (alpha = 0)."""
+    ev = evaluate_bounds(inputs)
+    if ev.lam is None:
+        raise ParameterError("lambda is undefined: alpha is not separated from zero")
+    return ev
 
 
 def _decimal_context() -> decimal.Context:
@@ -168,9 +175,8 @@ def psi_bound(inputs: BoundInputs) -> PsiResult:
     if ev.reason is not None:
         return PsiResult(False, None, a_prime, False, ev.reason)
     k = inputs.k
-    penalty = Fraction(factorial(k) * (k + 2)) * inputs.beta / a_prime
     ctx = _decimal_context()
-    value = Decimal(1) - (2 * k + 1) * _sqrt(inputs.delta, ctx) - _dec(penalty, ctx)
+    value = Decimal(1) - (2 * k + 1) * _sqrt(inputs.delta, ctx) - _dec(ev.penalty, ctx)
     value_f = float(value)
     return PsiResult(True, value_f, a_prime, value_f <= 0, None)
 
@@ -202,7 +208,7 @@ def measure_meets_psi(measure: int, n: int, inputs: BoundInputs) -> bool | None:
     if n == 0 or ev.reason is not None:
         return None
     k = inputs.k
-    q = 1 - Fraction(factorial(k) * (k + 2)) * inputs.beta / ev.alpha_prime - Fraction(measure, n)
+    q = 1 - ev.penalty - Fraction(measure, n)
     if q <= 0:
         return True
     return (2 * k + 1) ** 2 * inputs.delta >= q * q
@@ -328,17 +334,9 @@ def build_certificate(
     greedy = clustering.greedy_structure(decomp, k, selection=selection)
     greedy_validation = clustering.validate_structure(space, greedy, params)
 
-    exact_measure = None
-    exact_optimal = None
-    exact_clusters = None
-    exact_valid = None
-    exact_note = None
-    exact_result = None
-    if not include_exact:
-        exact_note = "exact search disabled"
-    elif n > exact_limit:
-        exact_note = f"{n} points exceeds the exact-search limit of {exact_limit}"
-    else:
+    exact_measure = exact_optimal = exact_clusters = exact_valid = exact_result = None
+    exact_note = clustering._refusal(n, exact_limit) if include_exact else "exact search disabled"
+    if exact_note is None:
         exact_result = clustering.exact_structure(
             space, params, max_points=exact_limit, node_budget=node_budget
         )

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable
 
 from . import stats
@@ -39,6 +40,14 @@ DEFAULT_EXACT_LIMIT = 14
 
 class SearchLimitError(RuntimeError):
     """Exact search rejected up front: the instance exceeds the point limit."""
+
+
+def _refusal(n: int, max_points: int) -> str | None:
+    """Why the exact search refuses n points, or None. Callers that record a
+    refusal ask here, and never enter ``exact_structure`` on a refused instance."""
+    if n > max_points:
+        return f"{n} points exceeds the exact-search limit of {max_points}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -184,6 +193,12 @@ def _greedy_long_matching(
     return tuple(matching)
 
 
+def _largest(parts: tuple[DecompositionPart, ...], k: int) -> tuple[int, ...]:
+    """Ascending indices of the k parts with the largest |Z_i|, ties to earlier parts."""
+    ranked = sorted(range(len(parts)), key=lambda i: (-len(parts[i].z), i))
+    return tuple(sorted(ranked[:k]))
+
+
 @lru_cache(maxsize=512)
 def greedy_decomposition(space: FiniteSemimetricSpace, params: ScaleParams) -> GreedyDecomposition:
     """Run the greedy extraction until the space is exhausted.
@@ -221,13 +236,12 @@ def greedy_decomposition(space: FiniteSemimetricSpace, params: ScaleParams) -> G
             )
         )
     sizes = [len(p.z) for p in parts]
-    order = sorted(range(len(parts)), key=lambda i: (-sizes[i], i))
     total_medium = stats.medium_edge_count(space, r)
     # |Z_i| >= sqrt(delta_hat) * n  <=>  |Z_i|^2 >= delta_hat * n^2 = 2 * M.
     return GreedyDecomposition(
         parts=tuple(parts),
         w=tuple(sorted(sizes, reverse=True)),
-        i0=tuple(sorted(order[:k])),
+        i0=_largest(parts, k),
         i1=tuple(i for i in range(len(parts)) if (k + 1) * len(parts[i].x) <= sizes[i]),
         i2=tuple(i for i in range(len(parts)) if sizes[i] ** 2 >= 2 * total_medium),
         far_pair_count=sum(p.medium_edges + p.long_edges for p in parts),
@@ -248,8 +262,7 @@ def greedy_structure(
         raise ValueError(f"order k must be a positive integer, got {k!r}")
     parts = decomp.parts
     if selection == "largest":
-        sizes = [len(p.z) for p in parts]
-        chosen = sorted(sorted(range(len(parts)), key=lambda i: (-sizes[i], i))[:k])
+        chosen = _largest(parts, k)
     elif selection == "first":
         chosen = list(range(min(k, len(parts))))
     else:
@@ -289,8 +302,9 @@ def exact_structure(
     n = space.n
     k = params.k
     r = params.r
-    if n > max_points:
-        raise SearchLimitError(f"{n} points exceeds the exact-search limit of {max_points}")
+    refusal = _refusal(n, max_points)
+    if refusal is not None:
+        raise SearchLimitError(refusal)
     share = space.within(2 * r)
     close = space.within(r, strict=True)
 
@@ -378,33 +392,25 @@ def validate_structure(
                         distance=space.dist[a][b],
                     )
                 )
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            shared = clusters[i] & clusters[j]
-            if shared:
-                violations.append(
-                    StructureViolation(
-                        kind="overlap",
-                        clusters=(i, j),
-                        points=tuple(sorted(shared)),
-                        distance=None,
-                    )
+    # Empty clusters can neither overlap nor be too close to another cluster.
+    occupied = [i for i, cluster in enumerate(clusters) if cluster]
+    for i, j in combinations(occupied, 2):
+        shared = clusters[i] & clusters[j]
+        if shared:
+            violations.append(
+                StructureViolation(
+                    kind="overlap",
+                    clusters=(i, j),
+                    points=tuple(sorted(shared)),
+                    distance=None,
                 )
-                continue
-            if clusters[i] and clusters[j]:
-                witness = None
-                others = _mask(clusters[j])
-                for u in sorted(clusters[i]):
-                    for v in _bits(close[u] & others):
-                        if witness is None or space.dist[u][v] < witness[2]:
-                            witness = (u, v, space.dist[u][v])
-                if witness is not None:
-                    violations.append(
-                        StructureViolation(
-                            kind="separation",
-                            clusters=(i, j),
-                            points=(witness[0], witness[1]),
-                            distance=witness[2],
-                        )
-                    )
+            )
+            continue
+        others = _mask(clusters[j])
+        near = [(space.dist[u][v], u, v) for u in clusters[i] for v in _bits(close[u] & others)]
+        if near:
+            d, u, v = min(near)  # the closest pair, ties to the smallest indices
+            violations.append(
+                StructureViolation(kind="separation", clusters=(i, j), points=(u, v), distance=d)
+            )
     return StructureValidation(violations=tuple(violations))

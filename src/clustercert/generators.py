@@ -75,29 +75,27 @@ class TightInstanceSpec:
         return self.m0 + self.k * self.m
 
 
-def tight_instance(spec: TightInstanceSpec) -> FiniteSemimetricSpace:
-    """Materialize the block witness described by ``spec``."""
-    sizes = [spec.m0] + [spec.m] * spec.k
+def _blocks(prefix: str, sizes: Sequence[int]) -> tuple[list[str], list[int]]:
+    """Labels ``{prefix}{b}_{t}`` for point t of block b, block after block,
+    and the block index of each point."""
     labels = []
     block_of = []
     for b, size in enumerate(sizes):
         for t in range(size):
-            labels.append(f"b{b}_{t}")
+            labels.append(f"{prefix}{b}_{t}")
             block_of.append(b)
-    n = len(labels)
+    return labels, block_of
+
+
+def tight_instance(spec: TightInstanceSpec) -> FiniteSemimetricSpace:
+    """Materialize the block witness described by ``spec``."""
+    labels, block_of = _blocks("b", [spec.m0] + [spec.m] * spec.k)
     r = spec.r
     far = 4 * r
-    matrix = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(Fraction(0))
-            elif block_of[i] == block_of[j]:
-                row.append(r)
-            else:
-                row.append(far)
-        matrix.append(row)
+    matrix = [
+        [Fraction(0) if i == j else r if a == b else far for j, b in enumerate(block_of)]
+        for i, a in enumerate(block_of)
+    ]
     return build_space(labels, matrix)
 
 
@@ -130,12 +128,7 @@ def planted_instance(
         raise ValueError(f"scale r must be positive, got {r}")
 
     rng = random.Random(seed)
-    labels = []
-    block_of = []
-    for b, size in enumerate(sizes):
-        for t in range(size):
-            labels.append(f"b{b}_{t}")
-            block_of.append(b)
+    labels, block_of = _blocks("b", sizes)
     n = len(labels)
 
     def short() -> Fraction:
@@ -305,22 +298,9 @@ def uniformize(
             d = set_distance(space, parts[i], parts[j])
             cross[i][j] = cross[j][i] = d
 
-    labels = []
-    block_of = []
-    for b, count in enumerate(multiplicities):
-        for t in range(count):
-            labels.append(f"a{b}_{t}")
-            block_of.append(b)
-    dist = []
-    for i in range(total):
-        row = []
-        for j in range(total):
-            if block_of[i] == block_of[j]:
-                row.append(Fraction(0))
-            else:
-                row.append(cross[block_of[i]][block_of[j]])
-        dist.append(row)
-    return build_space(labels, dist)
+    # The diagonal of ``cross`` is 0, the distance inside a block.
+    labels, block_of = _blocks("a", multiplicities)
+    return build_space(labels, [[cross[a][b] for b in block_of] for a in block_of])
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,19 @@ def _not_applicable(prop_id: str, note: str) -> CheckResult:
     return CheckResult(prop_id, False, None, None, None, note)
 
 
+def _optimum(space, params, exact_limit, node_budget):
+    """(optimal search result, None), or (None, why there is no optimum)."""
+    refusal = clustering._refusal(space.n, exact_limit)
+    if refusal is not None:
+        return None, refusal
+    result = clustering.exact_structure(
+        space, params, max_points=exact_limit, node_budget=node_budget
+    )
+    if not result.optimal:
+        return None, "exact-search node budget exhausted"
+    return result, None
+
+
 def _check_p1(space, params, tight, exact_limit, node_budget):
     # Block-witness arithmetic: no medium edges, the exact product count of
     # top-order anticliques, and an optimal-measure gap of exactly one small
@@ -80,17 +93,13 @@ def _check_p1(space, params, tight, exact_limit, node_budget):
     n = space.n
     if n != tight.n:
         return _not_applicable("P1", "space size does not match the construction")
-    if n > exact_limit:
-        return _not_applicable("P1", f"{n} points exceeds the exact-search limit of {exact_limit}")
+    result, reason = _optimum(space, params, exact_limit, node_budget)
+    if result is None:
+        return _not_applicable("P1", reason)
     k = params.k
-    m_count = stats.medium_edge_count(space, params.r)
-    t_top = stats.anticlique_count(space, params.r, k + 1)
+    obs = stats.observed_parameters(space, params)
+    m_count, t_top = obs.medium_edges, obs.anticliques_k_plus_1
     t_expected = tight.m0 * tight.m**k
-    result = clustering.exact_structure(
-        space, params, max_points=exact_limit, node_budget=node_budget
-    )
-    if not result.optimal:
-        return _not_applicable("P1", "exact-search node budget exhausted")
     gap = n - result.measure
     passed = m_count == 0 and t_top == t_expected and gap == tight.m
     witness = None
@@ -112,8 +121,10 @@ def _check_p2(space, params):
     n = space.n
     if subset_diameter(space, space.points()) > 3 * r:
         return _not_applicable("P2", "space diameter exceeds 3r")
-    b = clustering.max_cluster(space, space.points(), 2 * r)
-    lhs = stats.medium_edge_count(space, r)
+    # Greedy step 0 is a maximum 2r-cluster of the whole space.
+    parts = clustering.greedy_decomposition(space, params).parts
+    b = parts[0].x if parts else frozenset()
+    lhs = stats.observed_parameters(space, params).medium_edges
     rhs = Fraction(max(n, 2 * len(b)) * (n - len(b)), 2)
     return CheckResult("P2", True, lhs >= rhs, lhs, rhs)
 
@@ -188,13 +199,11 @@ def _check_t1(space, params, exact_limit, node_budget):
     if ev.reason is not None:
         return _not_applicable("T1", ev.reason)
     inputs = ev.inputs
-    if n > exact_limit:
-        return _not_applicable("T1", f"{n} points exceeds the exact-search limit of {exact_limit}")
+    result, reason = _optimum(space, params, exact_limit, node_budget)
+    if result is None:
+        return _not_applicable("T1", reason)
     decomp = clustering.greedy_decomposition(space, params)
     greedy = clustering.greedy_structure(decomp, k, selection="largest")
-    result = clustering.exact_structure(space, params, max_points=exact_limit, node_budget=node_budget)
-    if not result.optimal:
-        return _not_applicable("T1", "exact-search node budget exhausted")
     greedy_ok = bounds.measure_meets_psi(greedy.measure, n, inputs)
     exact_ok = bounds.measure_meets_psi(result.measure, n, inputs)
     passed = bool(greedy_ok) and bool(exact_ok)
@@ -254,13 +263,11 @@ class SuiteConfig:
     trials: int = 200
     max_n: int = 10
     k_values: tuple[int, ...] = (1, 2, 3)
-    generator_mix: tuple[str, ...] = _FLAVORS
     exact_limit: int = DEFAULT_EXACT_LIMIT
     node_budget: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "k_values", tuple(self.k_values))
-        object.__setattr__(self, "generator_mix", tuple(self.generator_mix))
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
         if self.max_n < 1:
@@ -271,9 +278,6 @@ class SuiteConfig:
             )
         if not self.k_values or any(not isinstance(k, int) or k < 1 for k in self.k_values):
             raise ValueError("k_values must be positive integers")
-        unknown = [f for f in self.generator_mix if f not in _FLAVORS]
-        if unknown or not self.generator_mix:
-            raise ValueError(f"generator mix must be drawn from {_FLAVORS}, got {unknown}")
 
 
 @dataclass(frozen=True)
@@ -287,7 +291,8 @@ class PropTally:
 @dataclass(frozen=True)
 class FailureRecord:
     """A failed check plus everything needed to reproduce it: the space in
-    file format and the exact scale parameters."""
+    file format, the exact scale parameters and, for P1, the block-witness
+    construction data."""
 
     trial: int
     prop_id: str
@@ -297,6 +302,23 @@ class FailureRecord:
     rhs: str
     space_text: str
     note: str = ""
+    tight: TightInstanceSpec | None = None
+
+    def to_obj(self) -> dict:
+        obj = {
+            "trial": self.trial,
+            "prop": self.prop_id,
+            "k": self.k,
+            "r": self.r,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "space": self.space_text,
+            "note": self.note,
+        }
+        if self.tight is not None:
+            t = self.tight
+            obj["tight"] = {"k": t.k, "m": t.m, "m0": t.m0, "r": str(t.r)}
+        return obj
 
 
 @dataclass(frozen=True)
@@ -331,19 +353,7 @@ class VerificationReport:
                 }
                 for t in self.tallies
             },
-            "failures": [
-                {
-                    "trial": f.trial,
-                    "prop": f.prop_id,
-                    "k": f.k,
-                    "r": f.r,
-                    "lhs": f.lhs,
-                    "rhs": f.rhs,
-                    "space": f.space_text,
-                    "note": f.note,
-                }
-                for f in self.failures
-            ],
+            "failures": [f.to_obj() for f in self.failures],
             "failureCount": self.failure_count,
             "notes": list(self.notes),
         }
@@ -387,7 +397,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     notes: list[str] = []
     for trial in range(config.trials):
         rng = random.Random(config.seed * 1_000_003 + trial)
-        flavor = config.generator_mix[trial % len(config.generator_mix)]
+        flavor = _FLAVORS[trial % len(_FLAVORS)]
         k = rng.choice(config.k_values)
         space, tight_spec, r = _generate_instance(flavor, rng, k, config.max_n)
         params = ScaleParams(r=r, k=k)
@@ -421,6 +431,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                         rhs=str(result.rhs),
                         space_text=dump_space(space),
                         note=result.note,
+                        tight=tight_spec if prop_id == "P1" else None,
                     )
                 )
     tallies = tuple(PropTally(pid, *counts[pid]) for pid in PROP_IDS)
@@ -429,7 +440,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         trials=config.trials,
         max_n=config.max_n,
         k_values=config.k_values,
-        generator_mix=config.generator_mix,
+        generator_mix=_FLAVORS,
         exact_limit=config.exact_limit,
         tallies=tallies,
         failures=tuple(failures),
@@ -441,4 +452,6 @@ def replay_failure(record: FailureRecord, *, exact_limit: int = DEFAULT_EXACT_LI
     """Re-load a failure's embedded instance and re-run its check."""
     space = load_space(record.space_text)
     params = ScaleParams(r=as_fraction(record.r), k=record.k)
-    return check_proposition(space, params, record.prop_id, exact_limit=exact_limit)
+    return check_proposition(
+        space, params, record.prop_id, tight=record.tight, exact_limit=exact_limit
+    )

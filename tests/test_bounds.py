@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -75,6 +76,31 @@ class TestEvaluateBounds:
         else:
             assert ev.lam == cc.lambda_param(inputs)
             assert ev.alpha_prime == cc.alpha_prime(inputs)
+
+
+_UNIT_RATIONALS = st.fractions(min_value=0, max_value=1, max_denominator=1000)
+
+
+class TestPreconditionOracle:
+    @given(
+        alpha=_UNIT_RATIONALS,
+        beta=_UNIT_RATIONALS,
+        delta=_UNIT_RATIONALS,
+        k=st.integers(1, 4),
+        on_boundary=st.booleans(),
+    )
+    def test_agrees_with_the_original_inequality(self, alpha, beta, delta, k, on_boundary):
+        # The oracle is the precondition as the bound states it:
+        # delta + (k+1) beta^2/alpha^2 <= 2/(k+1)^3.
+        if on_boundary and alpha > 0:
+            delta = max(Fraction(0), Fraction(2, (k + 1) ** 3) - (k + 1) * beta**2 / alpha**2)
+        inputs = cc.BoundInputs(alpha=alpha, beta=beta, delta=delta, k=k)
+        expected = alpha > 0 and delta + (k + 1) * beta**2 / alpha**2 <= Fraction(2, (k + 1) ** 3)
+        assert cc.precondition_check(inputs) == expected
+        ev = cc.evaluate_bounds(inputs)
+        assert (ev.penalty is None) == (ev.reason is not None)
+        if ev.penalty is not None:
+            assert ev.penalty == factorial(k) * (k + 2) * beta / ev.alpha_prime
 
 
 class TestPsiBound:

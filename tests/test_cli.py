@@ -86,6 +86,16 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["greedy"]["measure"] == 3
 
+    def test_order_far_above_n(self, capsys, tight_file):
+        # Validation visits only the non-empty clusters, so k = 20,000 stays fast.
+        code, out, _ = _run(
+            capsys, "analyze", "--input", str(tight_file), "--r", "1", "--k", "20000"
+        )
+        assert code == 0
+        greedy = json.loads(out)["greedy"]
+        assert len(greedy["clusters"]) == 20_000
+        assert greedy["measure"] == 9 and greedy["valid"]
+
 
 class TestGreedyAndExact:
     def test_greedy_dump(self, capsys, s3_file):

@@ -132,6 +132,17 @@ class TestGreedyDecomposition:
             total_medium = cc.medium_edge_count(space, params.r)
             assert (sizes[i] ** 2 >= 2 * total_medium) == (i in decomp.i2)
 
+    @given(
+        space=oracles.semimetric_spaces(),
+        r=st.sampled_from(oracles.PALETTE[1:]),
+        k=st.integers(1, 3),
+    )
+    def test_first_kernel_is_a_maximum_cluster_of_the_space(self, space, r, k):
+        # Verify's P2 reads B from greedy step 0 instead of searching again.
+        parts = cc.greedy_decomposition(space, cc.ScaleParams(r=r, k=k)).parts
+        first = parts[0].x if parts else frozenset()
+        assert first == cc.max_cluster(space, space.points(), 2 * r)
+
 
 class TestGreedyStructure:
     def test_three_point_structure(self, s3, s3_params):
@@ -162,6 +173,22 @@ class TestGreedyStructure:
         decomp = cc.greedy_decomposition(s3, s3_params)
         with pytest.raises(ValueError):
             cc.greedy_structure(decomp, 2, selection="random")
+
+    @given(
+        space=oracles.metric_spaces(min_n=1, max_n=8),
+        k=st.integers(1, 3),
+        order=st.integers(1, 4),
+    )
+    def test_largest_selection_at_any_order(self, space, k, order):
+        # The order may differ from the k the decomposition was built for.
+        decomp = cc.greedy_decomposition(space, cc.ScaleParams(r=Fraction(1), k=k))
+        sizes = [len(p.z) for p in decomp.parts]
+        chosen = sorted(sorted(range(len(sizes)), key=lambda i: (-sizes[i], i))[:order])
+        padding = (frozenset(),) * (order - len(chosen))
+        structure = cc.greedy_structure(decomp, order)
+        assert structure.clusters == tuple(decomp.parts[i].x for i in chosen) + padding
+        if order == k:
+            assert tuple(chosen) == decomp.i0
 
     @given(space=oracles.metric_spaces(min_n=1, max_n=8), k=st.integers(1, 3))
     def test_structures_always_validate(self, space, k):
@@ -245,6 +272,20 @@ class TestValidateStructure:
         structure = cc.ClusterStructure(clusters=(frozenset({0, 1}), frozenset({1})))
         report = cc.validate_structure(s3, structure, s3_params)
         assert [v.kind for v in report.violations] == ["overlap"]
+
+    def test_empty_padding_adds_no_violations(self, s3, s3_params):
+        # One diameter, one separation and two overlap violations, then
+        # 20,000 empty clusters that must add nothing (and cost little).
+        clusters = (frozenset({1, 2}), frozenset({0}), frozenset({0, 1}))
+        report = cc.validate_structure(s3, cc.ClusterStructure(clusters), s3_params)
+        assert [v.kind for v in report.violations] == [
+            "diameter",
+            "separation",
+            "overlap",
+            "overlap",
+        ]
+        padded = cc.ClusterStructure(clusters + (frozenset(),) * 20_000)
+        assert cc.validate_structure(s3, padded, s3_params) == report
 
     def test_all_empty_structure_is_valid(self, s3, s3_params):
         structure = cc.ClusterStructure(clusters=(frozenset(), frozenset(), frozenset()))

@@ -1,10 +1,12 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 import clustercert as cc
-from clustercert import verify
+from clustercert import bounds, clustering, verify
+from clustercert.clustering import SearchLimitError
 
 
 def _four_point_bounded_space():
@@ -132,6 +134,39 @@ class TestRunSuite:
         assert set(obj["tallies"]) == set(verify.PROP_IDS)
 
 
+class TestExactSearchRefusal:
+    def _planted10(self):
+        # beta = delta = 0 and alpha > 0, so T1's bound gates all pass.
+        return cc.planted_instance(2, [5, 5], 0, 1, seed=3), cc.ScaleParams(r=Fraction(1), k=2)
+
+    def test_notes_match_the_search_limit_error(self, tight9, tight9_params):
+        spec = cc.TightInstanceSpec(k=2, m=3, m0=3, r=Fraction(1))
+        with pytest.raises(SearchLimitError) as refused:
+            cc.exact_structure(tight9, tight9_params, max_points=8)
+        p1 = verify.check_proposition(tight9, tight9_params, "P1", tight=spec, exact_limit=8)
+        assert not p1.applicable and p1.note == str(refused.value)
+        space, params = self._planted10()
+        with pytest.raises(SearchLimitError) as refused:
+            cc.exact_structure(space, params, max_points=8)
+        t1 = verify.check_proposition(space, params, "T1", exact_limit=8)
+        assert not t1.applicable and t1.note == str(refused.value)
+        cert = cc.build_certificate(space, params, exact_limit=8)
+        assert cert.exact_note == str(refused.value)
+
+    def test_refused_instances_never_enter_the_search(self, monkeypatch, tight9, tight9_params):
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_structure called on a refused instance")
+
+        monkeypatch.setattr(clustering, "exact_structure", refuse)
+        spec = cc.TightInstanceSpec(k=2, m=3, m0=3, r=Fraction(1))
+        assert not verify.check_proposition(
+            tight9, tight9_params, "P1", tight=spec, exact_limit=8
+        ).applicable
+        space, params = self._planted10()
+        assert not verify.check_proposition(space, params, "T1", exact_limit=8).applicable
+        assert bounds.build_certificate(space, params, exact_limit=8).exact_measure is None
+
+
 class TestFailureRoundTrip:
     def test_manufactured_failure_replays(self):
         # A triangle-violating instance fails P2; rebuilding the record from
@@ -156,6 +191,34 @@ class TestFailureRoundTrip:
         assert replayed.passed is False
         assert str(replayed.lhs) == record.lhs
         assert str(replayed.rhs) == record.rhs
+
+    def test_p1_failure_replays_with_its_construction(self):
+        spec = cc.TightInstanceSpec(k=1, m=2, m0=2, r=Fraction(1))
+        witness = cc.tight_instance(spec)
+        # One cross-block pair moved to the medium range: P1 fails on M = 1.
+        matrix = [list(row) for row in witness.dist]
+        matrix[0][2] = matrix[2][0] = Fraction(2)
+        broken = cc.build_space(list(witness.labels), matrix)
+        params = cc.ScaleParams(r=spec.r, k=spec.k)
+        original = verify.check_proposition(broken, params, "P1", tight=spec)
+        assert original.applicable and original.passed is False
+        record = verify.FailureRecord(
+            trial=0,
+            prop_id="P1",
+            k=params.k,
+            r=str(params.r),
+            lhs=str(original.lhs),
+            rhs=str(original.rhs),
+            space_text=cc.dump_space(broken),
+            tight=spec,
+        )
+        assert verify.replay_failure(record) == original
+        assert record.to_obj()["tight"] == {"k": 1, "m": 2, "m0": 2, "r": "1"}
+        assert "tight" not in dataclasses.replace(record, tight=None).to_obj()
+
+    def test_report_keeps_the_generator_mix(self):
+        report = verify.run_suite(verify.SuiteConfig(seed=1, trials=3, max_n=5))
+        assert report.to_obj()["generatorMix"] == ["tight", "planted", "metric"]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_serialized_instances_reproduce_all_verdicts(self, seed):

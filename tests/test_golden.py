@@ -7,7 +7,11 @@ metrics, a 30-point space where the exact search is refused, and hand-made
 spaces with distances exactly r, 2r and 3r, where the strict and closed
 threshold conventions differ. One of them breaks the triangle inequality so
 that the greedy long-edge matching is not empty. The ``generate`` cases pin
-the block witness and the noisy planted generator.
+the block witness and the noisy planted generator. Three cases have the
+shapes the benchmark runs: analyze and greedy on a 100-point planted space
+(two blocks of 50, noise 1/100, four pairs at exactly r), ``verify`` with 60
+trials up to n = 14, and analyze of the 60-point discretized space, whose
+multiplicity blocks sit at mutual distance 0.
 
 To re-record after an intended output change, run from the repository root:
 
@@ -35,6 +39,8 @@ SPACES = [
     ("p4_boundary", "1", 2),
     ("line_thresholds", "1", 2),
     ("star_semimetric", "1", 2),
+    # generate --kind planted --r 1 --k 2 --block-sizes 50,50 --noise 1/100 --seed 1
+    ("planted_n100", "1", 2),
 ]
 
 
@@ -42,7 +48,7 @@ def _cases() -> dict[str, list[str]]:
     cases = {}
     for stem, r, k in SPACES:
         for cmd in ("analyze", "greedy", "exact"):
-            if cmd == "exact" and stem == "planted_n30":
+            if cmd == "exact" and stem in ("planted_n30", "planted_n100"):
                 continue  # above the exact-search limit; analyze records the refusal
             argv = [cmd, "--input", str(INPUTS / f"{stem}.space"), "--r", r, "--k", str(k)]
             cases[f"{stem}.{cmd}.json"] = argv
@@ -64,7 +70,13 @@ def _cases() -> dict[str, list[str]]:
     cases["weighted_json.discretize.space"] = [
         "discretize", "--input", str(INPUTS / "weighted.json"), "--eps", "1/2"
     ]
+    cases["weighted_discretized.analyze.json"] = [
+        "analyze", "--input", str(GOLDEN / "weighted.discretize.space"), "--r", "1", "--k", "2"
+    ]
     cases["verify_seed42.json"] = ["verify", "--seed", "42", "--trials", "200"]
+    cases["verify_seed7_n14.json"] = [
+        "verify", "--seed", "7", "--trials", "60", "--max-n", "14", "--exact-limit", "14"
+    ]
     return cases
 
 

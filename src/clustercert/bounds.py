@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import clustering, stats
-from .space import FiniteSemimetricSpace, ScaleParams, as_fraction
+from .space import FiniteSemimetricSpace, ScaleParams, _labels, _positive_order, as_fraction
 
 __all__ = [
     "ParameterError",
@@ -63,8 +63,7 @@ class BoundInputs:
         object.__setattr__(self, "delta", as_fraction(self.delta))
         if self.alpha < 0 or self.beta < 0 or self.delta < 0:
             raise ValueError("alpha, beta, delta must be non-negative")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"order k must be a positive integer, got {self.k!r}")
+        _positive_order(self.k)
 
 
 def lambda_param(inputs: BoundInputs) -> Fraction:
@@ -187,8 +186,7 @@ def legacy_bound(beta, delta, k: int) -> float:
     delta = as_fraction(delta)
     if beta < 0 or delta < 0:
         raise ValueError("beta and delta must be non-negative")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"order k must be a positive integer, got {k!r}")
+    _positive_order(k)
     ctx = _decimal_context()
     e = ctx.exp(Decimal(1))
     coeff = k * (e + 1) + 1
@@ -302,10 +300,11 @@ class BoundCertificate:
         return obj
 
 
-def _label_clusters(
-    space: FiniteSemimetricSpace, structure: clustering.ClusterStructure
-) -> tuple[tuple[str, ...], ...]:
-    return tuple(tuple(space.labels[i] for i in sorted(c)) for c in structure.clusters)
+def _observed_bounds(space: FiniteSemimetricSpace, params: ScaleParams) -> BoundEvaluation:
+    """The bound gates at the observed densities of ``space`` at scale (r, k):
+    the one record that the certificate and the verify checks read."""
+    obs = stats.observed_parameters(space, params)
+    return evaluate_bounds(BoundInputs(obs.alpha_hat, obs.beta_hat, obs.delta_hat, params.k))
 
 
 def build_certificate(
@@ -315,69 +314,55 @@ def build_certificate(
     include_exact: bool = True,
     exact_limit: int = clustering.DEFAULT_EXACT_LIMIT,
     node_budget: int | None = None,
-    selection: str = "largest",
 ) -> BoundCertificate:
     """Compose the observed parameters, greedy decomposition, optional exact
     search, and both bounds into one certificate."""
     n = space.n
     k = params.k
     observed = stats.observed_parameters(space, params)
-    inputs = BoundInputs(
-        alpha=observed.alpha_hat, beta=observed.beta_hat, delta=observed.delta_hat, k=k
-    )
-
-    ev = evaluate_bounds(inputs)
+    ev = _observed_bounds(space, params)
+    inputs = ev.inputs
     psi = psi_bound(inputs)
     legacy = legacy_bound(inputs.beta, inputs.delta, k)
 
     decomp = clustering.greedy_decomposition(space, params)
-    greedy = clustering.greedy_structure(decomp, k, selection=selection)
+    greedy = clustering.greedy_structure(decomp, k)
     greedy_validation = clustering.validate_structure(space, greedy, params)
 
-    exact_measure = exact_optimal = exact_clusters = exact_valid = exact_result = None
-    exact_note = clustering._refusal(n, exact_limit) if include_exact else "exact search disabled"
-    if exact_note is None:
-        exact_result = clustering.exact_structure(
-            space, params, max_points=exact_limit, node_budget=node_budget
-        )
-        exact_measure = exact_result.measure
-        exact_optimal = exact_result.optimal
-        exact_clusters = _label_clusters(space, exact_result.structure)
-        exact_valid = clustering.validate_structure(space, exact_result.structure, params).ok
-        if not exact_result.optimal:
-            exact_note = "node budget exhausted; best structure found so far"
-
-    verdicts: list[Verdict] = [
+    verdicts = [
         Verdict(
             name="greedy_structure_valid",
             holds=greedy_validation.ok,
             detail=f"{len(greedy_validation.violations)} violation(s)",
         )
     ]
-    if exact_result is not None:
+    measures = {"greedy": greedy.measure}
+    exact_measure = exact_optimal = exact_clusters = exact_valid = None
+    exact_note = clustering._refusal(n, exact_limit) if include_exact else "exact search disabled"
+    if exact_note is None:
+        exact_result = clustering.exact_structure(
+            space, params, max_points=exact_limit, node_budget=node_budget
+        )
+        exact_measure = measures["exact"] = exact_result.measure
+        exact_optimal = exact_result.optimal
+        exact_clusters = tuple(_labels(space, c) for c in exact_result.structure.clusters)
+        exact_valid = clustering.validate_structure(space, exact_result.structure, params).ok
+        if not exact_result.optimal:
+            exact_note = "node budget exhausted; best structure found so far"
         verdicts.append(
             Verdict(
                 name="greedy_measure_le_exact_measure",
-                holds=greedy.measure <= exact_result.measure,
-                detail=f"{greedy.measure} <= {exact_result.measure}",
+                holds=greedy.measure <= exact_measure,
+                detail=f"{greedy.measure} <= {exact_measure}",
             )
         )
-    if psi.applicable and n > 0:
-        greedy_ok = measure_meets_psi(greedy.measure, n, inputs)
-        verdicts.append(
-            Verdict(
-                name="greedy_measure_ge_psi_times_n",
-                holds=bool(greedy_ok),
-                detail=f"measure {greedy.measure}, psi*n ~ {psi.value * n:.6g}",
-            )
-        )
-        if exact_measure is not None:
-            exact_ok = measure_meets_psi(exact_measure, n, inputs)
+    if psi.applicable:  # never at n = 0, where alpha = 0
+        for name, measure in measures.items():
             verdicts.append(
                 Verdict(
-                    name="exact_measure_ge_psi_times_n",
-                    holds=bool(exact_ok),
-                    detail=f"measure {exact_measure}, psi*n ~ {psi.value * n:.6g}",
+                    name=f"{name}_measure_ge_psi_times_n",
+                    holds=bool(measure_meets_psi(measure, n, inputs)),
+                    detail=f"measure {measure}, psi*n ~ {psi.value * n:.6g}",
                 )
             )
 
@@ -394,7 +379,7 @@ def build_certificate(
         psi_vacuous=psi.vacuous,
         psi_reason=psi.reason,
         legacy=legacy,
-        greedy_clusters=_label_clusters(space, greedy),
+        greedy_clusters=tuple(_labels(space, c) for c in greedy.clusters),
         greedy_measure=greedy.measure,
         greedy_valid=greedy_validation.ok,
         exact_measure=exact_measure,

@@ -18,9 +18,9 @@ from pathlib import Path
 from . import bounds, clustering, generators, verify
 from .serialize import write_report
 from .space import (
-    FiniteSemimetricSpace,
     ScaleParams,
     SpaceFormatError,
+    _labels,
     as_fraction,
     dump_space,
     load_space,
@@ -73,10 +73,6 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _labelled(space: FiniteSemimetricSpace, points) -> list[str]:
-    return [space.labels[i] for i in sorted(points)]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clustercert",
@@ -85,12 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, needs_input=True, needs_scale=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="space file (text or JSON object)")
-        if needs_scale:
-            p.add_argument("--r", type=_fraction, required=True, help="scale r (exact, e.g. 0.5 or 1/3)")
-            p.add_argument("--k", type=int, required=True, help="structure order k")
+    def add_common(p):
+        p.add_argument("--input", required=True, help="space file (text or JSON object)")
+        p.add_argument("--r", type=_fraction, required=True, help="scale r (exact, e.g. 0.5 or 1/3)")
+        p.add_argument("--k", type=int, required=True, help="structure order k")
         p.add_argument("--output", help="write result here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -157,10 +151,10 @@ def _cmd_greedy(args) -> int:
         "parts": [
             {
                 "index": p.index,
-                "Z": _labelled(space, p.z),
-                "X": _labelled(space, p.x),
-                "Y": _labelled(space, p.y),
-                "U": _labelled(space, p.u),
+                "Z": list(_labels(space, p.z)),
+                "X": list(_labels(space, p.x)),
+                "Y": list(_labels(space, p.y)),
+                "U": list(_labels(space, p.u)),
                 "matching": [[space.labels[a], space.labels[b]] for a, b in p.matching],
                 "mediumEdges": p.medium_edges,
                 "longEdges": p.long_edges,
@@ -187,7 +181,7 @@ def _cmd_exact(args) -> int:
         "k": params.k,
         "measure": result.measure,
         "optimal": result.optimal,
-        "clusters": [_labelled(space, c) for c in result.structure.clusters],
+        "clusters": [list(_labels(space, c)) for c in result.structure.clusters],
         "nodesExplored": result.nodes_explored,
     }
     _emit(write_report(obj, fmt=args.format), args.output)

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Iterable
 
 from . import stats
-from .space import FiniteSemimetricSpace, ScaleParams, _bits, _mask
+from .space import FiniteSemimetricSpace, ScaleParams, _bits, _mask, _positive_order
 
 __all__ = [
     "SearchLimitError",
@@ -258,8 +258,7 @@ def greedy_structure(
     parts in construction order. Missing clusters are padded with empty sets
     so the result always has order k.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"order k must be a positive integer, got {k!r}")
+    _positive_order(k)
     parts = decomp.parts
     if selection == "largest":
         chosen = _largest(parts, k)

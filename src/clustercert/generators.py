@@ -18,6 +18,7 @@ from .space import (
     SpaceFormatError,
     _bits,
     _parse_space_lines,
+    _positive_scale,
     as_fraction,
     build_space,
     dump_space,
@@ -67,8 +68,7 @@ class TightInstanceSpec:
             raise ValueError(f"block size m must be a positive integer, got {self.m!r}")
         if not isinstance(self.m0, int) or self.m0 < self.m:
             raise ValueError(f"m0 must be an integer >= m (got m0={self.m0!r}, m={self.m!r})")
-        if self.r <= 0:
-            raise ValueError(f"scale r must be positive, got {self.r}")
+        _positive_scale(self.r)
 
     @property
     def n(self) -> int:
@@ -123,9 +123,7 @@ def planted_instance(
     noise = as_fraction(noise_swap_fraction)
     if not 0 <= noise < 1:
         raise ValueError(f"noise fraction must lie in [0, 1), got {noise}")
-    r = as_fraction(r)
-    if r <= 0:
-        raise ValueError(f"scale r must be positive, got {r}")
+    r = _positive_scale(r)
 
     rng = random.Random(seed)
     labels, block_of = _blocks("b", sizes)
@@ -158,28 +156,23 @@ def random_metric_instance(n: int, r, seed: int) -> FiniteSemimetricSpace:
     Entries are drawn from multiples of r/2 in [r/2, 5r] and then replaced by
     the exact min-plus closure (all-pairs shortest paths), which enforces the
     triangle inequality while keeping plenty of short/medium/long variety.
+    The closure runs on integer half-units: it commutes with scaling by
+    r/2 > 0, so each cell is converted to r * h / 2 once, at the end.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"point count must be a non-negative integer, got {n!r}")
-    r = as_fraction(r)
-    if r <= 0:
-        raise ValueError(f"scale r must be positive, got {r}")
+    r = _positive_scale(r)
     rng = random.Random(seed)
-    dist = [[Fraction(0)] * n for _ in range(n)]
+    half = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d = r * Fraction(rng.randint(1, 10), 2)
-            dist[i][j] = dist[j][i] = d
+            half[i][j] = half[j][i] = rng.randint(1, 10)
     for via in range(n):
-        row_via = dist[via]
-        for i in range(n):
-            d_iv = dist[i][via]
-            row_i = dist[i]
-            for j in range(n):
-                candidate = d_iv + row_via[j]
-                if candidate < row_i[j]:
-                    row_i[j] = candidate
-                    dist[j][i] = candidate
+        row_via = half[via]
+        for row in half:
+            d = row[via]
+            row[:] = [min(h, d + h_via) for h, h_via in zip(row, row_via)]
+    dist = [[r * h / 2 for h in row] for row in half]
     return build_space([f"p{i}" for i in range(n)], dist)
 
 

@@ -7,7 +7,6 @@ by the time objects reach this module, and floats use the shortest repr.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 __all__ = ["canonical_json", "render_text", "write_report"]
 
@@ -40,11 +39,9 @@ def render_text(obj) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(artifact, path: str | None = None, fmt: str = "json") -> str:
-    """Serialize a certificate, report, or plain mapping; optionally write it.
-
-    Returns the rendered text either way, so callers can print or diff it.
-    """
+def write_report(artifact, fmt: str = "json") -> str:
+    """Render a certificate, report, or plain mapping as canonical JSON or
+    text; callers print, write or diff the returned text."""
     obj = artifact.to_obj() if hasattr(artifact, "to_obj") else artifact
     if fmt == "json":
         text = canonical_json(obj)
@@ -52,6 +49,4 @@ def write_report(artifact, path: str | None = None, fmt: str = "json") -> str:
         text = render_text(obj)
     else:
         raise ValueError(f"unknown format {fmt!r} (expected 'json' or 'text')")
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
     return text

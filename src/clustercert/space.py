@@ -96,6 +96,20 @@ def format_rational(q: Fraction) -> str:
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
 
 
+def _positive_scale(r) -> Fraction:
+    """The scale r as a Fraction; ValueError unless r > 0."""
+    r = as_fraction(r)
+    if r <= 0:
+        raise ValueError(f"scale r must be positive, got {r}")
+    return r
+
+
+def _positive_order(k) -> None:
+    """ValueError unless the order k is an integer >= 1."""
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"order k must be a positive integer, got {k!r}")
+
+
 class EdgeClass(Enum):
     """Class of a point pair relative to the scale r: the distance is at most
     r (SHORT), in (r, 3r] (MEDIUM), or above 3r (LONG)."""
@@ -113,11 +127,8 @@ class ScaleParams:
     k: int
 
     def __post_init__(self):
-        object.__setattr__(self, "r", as_fraction(self.r))
-        if self.r <= 0:
-            raise ValueError(f"scale r must be positive, got {self.r}")
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"order k must be a positive integer, got {self.k!r}")
+        object.__setattr__(self, "r", _positive_scale(self.r))
+        _positive_order(self.k)
 
 
 @dataclass(frozen=True)
@@ -141,12 +152,6 @@ class FiniteSemimetricSpace:
 
     def rho(self, i: int, j: int) -> Fraction:
         return self.dist[i][j]
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown point label {label!r}") from None
 
     def within(self, d, *, strict: bool = False) -> tuple[int, ...]:
         """Threshold graph at distance ``d`` as one bitmask per point.
@@ -196,6 +201,11 @@ def _mask(points: Iterable[int]) -> int:
     for p in points:
         mask |= 1 << p
     return mask
+
+
+def _labels(space: FiniteSemimetricSpace, points: Iterable[int]) -> tuple[str, ...]:
+    """Labels of the points, in ascending index order."""
+    return tuple(space.labels[i] for i in sorted(points))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -268,9 +278,7 @@ def classify_edge(space: FiniteSemimetricSpace, i: int, j: int, r) -> EdgeClass:
     """Classify the pair (i, j) at scale r with exact, inclusive thresholds."""
     if i == j:
         raise ValueError(f"self-edge ({i},{i}) is unclassified")
-    r = as_fraction(r)
-    if r <= 0:
-        raise ValueError(f"scale r must be positive, got {r}")
+    r = _positive_scale(r)
     d = space.dist[i][j]
     if d <= r:
         return EdgeClass.SHORT
@@ -372,13 +380,22 @@ def space_to_obj(space: FiniteSemimetricSpace) -> dict:
 
 
 def space_from_obj(obj: dict) -> FiniteSemimetricSpace:
+    """Parse the structured-object form. ``labels`` must be a list, ``dist`` a
+    list of lists and ``n``, when present, an integer: a JSON string is never
+    read as a sequence of characters."""
     try:
         labels = obj["labels"]
         dist = obj["dist"]
     except (KeyError, TypeError) as exc:
         raise SpaceFormatError(f"space object is missing field: {exc}") from exc
-    space = build_space(labels, dist)
+    if not isinstance(labels, list):
+        raise SpaceFormatError(f"labels must be a list, got {type(labels).__name__}")
+    if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
+        raise SpaceFormatError("dist must be a list of lists")
     declared = obj.get("n")
+    if declared is not None and (isinstance(declared, bool) or not isinstance(declared, int)):
+        raise SpaceFormatError(f"n must be an integer, got {type(declared).__name__}")
+    space = build_space(labels, dist)
     if declared is not None and declared != space.n:
         raise SpaceFormatError(f"declared n={declared} but found {space.n} labels")
     return space

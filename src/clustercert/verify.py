@@ -25,14 +25,7 @@ from math import factorial
 from . import bounds, clustering, stats
 from .clustering import DEFAULT_EXACT_LIMIT
 from .generators import TightInstanceSpec, planted_instance, random_metric_instance, tight_instance
-from .space import (
-    FiniteSemimetricSpace,
-    ScaleParams,
-    as_fraction,
-    dump_space,
-    load_space,
-    subset_diameter,
-)
+from .space import FiniteSemimetricSpace, ScaleParams, as_fraction, dump_space, load_space
 
 __all__ = [
     "PROP_IDS",
@@ -45,8 +38,6 @@ __all__ = [
     "run_suite",
     "replay_failure",
 ]
-
-PROP_IDS = ("P1", "P2", "P3", "P4", "P5", "P6", "T1")
 
 _R_PALETTE = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 4))
 
@@ -82,7 +73,7 @@ def _optimum(space, params, exact_limit, node_budget):
     return result, None
 
 
-def _check_p1(space, params, tight, exact_limit, node_budget):
+def _check_p1(space, params, *, tight, exact_limit, node_budget):
     # Block-witness arithmetic: no medium edges, the exact product count of
     # top-order anticliques, and an optimal-measure gap of exactly one small
     # block. Only decidable when the construction data is known.
@@ -114,12 +105,12 @@ def _check_p1(space, params, tight, exact_limit, node_budget):
     return CheckResult("P1", True, passed, gap, tight.m, witness=witness)
 
 
-def _check_p2(space, params):
+def _check_p2(space, params, **_):
     # With diameter at most 3r, the medium-edge count is at least
     # max(n, 2|B|) * |A \ B| / 2 for B a maximum 2r-cluster.
-    r = params.r
     n = space.n
-    if subset_diameter(space, space.points()) > 3 * r:
+    everyone = (1 << n) - 1
+    if any(row != everyone for row in space.within(3 * params.r)):
         return _not_applicable("P2", "space diameter exceeds 3r")
     # Greedy step 0 is a maximum 2r-cluster of the whole space.
     parts = clustering.greedy_decomposition(space, params).parts
@@ -129,17 +120,10 @@ def _check_p2(space, params):
     return CheckResult("P2", True, lhs >= rhs, lhs, rhs)
 
 
-def _bound_evaluation(space, params) -> bounds.BoundEvaluation:
-    obs = stats.observed_parameters(space, params)
-    return bounds.evaluate_bounds(
-        bounds.BoundInputs(obs.alpha_hat, obs.beta_hat, obs.delta_hat, params.k)
-    )
-
-
-def _check_p3(space, params):
+def _check_p3(space, params, **_):
     # Parts with thin kernels, (k+1)|X_i| <= |Z_i|, have total size at most
     # (k+1) * beta_hat / alpha_hat * n. Only alpha_hat > 0 is required.
-    ev = _bound_evaluation(space, params)
+    ev = bounds._observed_bounds(space, params)
     if ev.lam is None:
         return _not_applicable("P3", ev.reason)
     decomp = clustering.greedy_decomposition(space, params)
@@ -148,7 +132,7 @@ def _check_p3(space, params):
     return CheckResult("P3", True, lhs <= rhs, lhs, rhs)
 
 
-def _check_p4(space, params):
+def _check_p4(space, params, **_):
     # The top-order anticlique count dominates the elementary symmetric
     # polynomial of the sorted part sizes, scaled by 1/(k+1)!.
     k = params.k
@@ -158,12 +142,12 @@ def _check_p4(space, params):
     return CheckResult("P4", True, lhs >= rhs, lhs, rhs)
 
 
-def _check_p5(space, params):
+def _check_p5(space, params, **_):
     # Under the precondition, the order-k anticlique count exceeds e_k(W) by
     # at most k*lambda_hat*n^k / (2(k-2)!). For k = 1 no pair contraction is
     # possible, so the slack term is zero.
     k = params.k
-    ev = _bound_evaluation(space, params)
+    ev = bounds._observed_bounds(space, params)
     if not ev.precondition_ok:
         return _not_applicable("P5", ev.reason)
     decomp = clustering.greedy_decomposition(space, params)
@@ -175,10 +159,10 @@ def _check_p5(space, params):
     return CheckResult("P5", True, lhs <= rhs, lhs, rhs)
 
 
-def _check_p6(space, params):
+def _check_p6(space, params, **_):
     # The k largest part sizes sum to at least (1 - (k+1)! beta/alpha') * n.
     k = params.k
-    ev = _bound_evaluation(space, params)
+    ev = bounds._observed_bounds(space, params)
     if ev.reason is not None:
         return _not_applicable("P6", ev.reason)
     decomp = clustering.greedy_decomposition(space, params)
@@ -187,7 +171,7 @@ def _check_p6(space, params):
     return CheckResult("P6", True, lhs >= rhs, lhs, rhs)
 
 
-def _check_t1(space, params, exact_limit, node_budget):
+def _check_t1(space, params, *, exact_limit, node_budget, **_):
     # Both the exact optimum and the greedy structure built from the k
     # largest parts have measure at least psi * n. Decided exactly: the
     # square root is eliminated by squaring inside measure_meets_psi.
@@ -195,7 +179,7 @@ def _check_t1(space, params, exact_limit, node_budget):
     k = params.k
     if n == 0:
         return _not_applicable("T1", "empty space")
-    ev = _bound_evaluation(space, params)
+    ev = bounds._observed_bounds(space, params)
     if ev.reason is not None:
         return _not_applicable("T1", ev.reason)
     inputs = ev.inputs
@@ -203,7 +187,7 @@ def _check_t1(space, params, exact_limit, node_budget):
     if result is None:
         return _not_applicable("T1", reason)
     decomp = clustering.greedy_decomposition(space, params)
-    greedy = clustering.greedy_structure(decomp, k, selection="largest")
+    greedy = clustering.greedy_structure(decomp, k)
     greedy_ok = bounds.measure_meets_psi(greedy.measure, n, inputs)
     exact_ok = bounds.measure_meets_psi(result.measure, n, inputs)
     passed = bool(greedy_ok) and bool(exact_ok)
@@ -223,6 +207,20 @@ def _check_t1(space, params, exact_limit, node_budget):
     )
 
 
+# The catalogue, in suite order. Every check takes the same keyword arguments
+# and ignores those it does not need.
+_CHECKS = {
+    "P1": _check_p1,
+    "P2": _check_p2,
+    "P3": _check_p3,
+    "P4": _check_p4,
+    "P5": _check_p5,
+    "P6": _check_p6,
+    "T1": _check_t1,
+}
+PROP_IDS = tuple(_CHECKS)
+
+
 def check_proposition(
     space: FiniteSemimetricSpace,
     params: ScaleParams,
@@ -233,21 +231,10 @@ def check_proposition(
     node_budget: int | None = None,
 ) -> CheckResult:
     """Evaluate one catalogued check on a space, exactly."""
-    if prop_id == "P1":
-        return _check_p1(space, params, tight, exact_limit, node_budget)
-    if prop_id == "P2":
-        return _check_p2(space, params)
-    if prop_id == "P3":
-        return _check_p3(space, params)
-    if prop_id == "P4":
-        return _check_p4(space, params)
-    if prop_id == "P5":
-        return _check_p5(space, params)
-    if prop_id == "P6":
-        return _check_p6(space, params)
-    if prop_id == "T1":
-        return _check_t1(space, params, exact_limit, node_budget)
-    raise ValueError(f"unknown check id {prop_id!r} (expected one of {PROP_IDS})")
+    check = _CHECKS.get(prop_id)
+    if check is None:
+        raise ValueError(f"unknown check id {prop_id!r} (expected one of {PROP_IDS})")
+    return check(space, params, tight=tight, exact_limit=exact_limit, node_budget=node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +310,7 @@ class FailureRecord:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    seed: int
-    trials: int
-    max_n: int
-    k_values: tuple[int, ...]
-    generator_mix: tuple[str, ...]
-    exact_limit: int
+    config: SuiteConfig
     tallies: tuple[PropTally, ...]
     failures: tuple[FailureRecord, ...]
     notes: tuple[str, ...]
@@ -338,13 +320,14 @@ class VerificationReport:
         return len(self.failures)
 
     def to_obj(self) -> dict:
+        config = self.config
         return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "maxN": self.max_n,
-            "kValues": list(self.k_values),
-            "generatorMix": list(self.generator_mix),
-            "exactLimit": self.exact_limit,
+            "seed": config.seed,
+            "trials": config.trials,
+            "maxN": config.max_n,
+            "kValues": list(config.k_values),
+            "generatorMix": list(_FLAVORS),
+            "exactLimit": config.exact_limit,
             "tallies": {
                 t.prop_id: {
                     "applicable": t.applicable,
@@ -436,12 +419,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                 )
     tallies = tuple(PropTally(pid, *counts[pid]) for pid in PROP_IDS)
     return VerificationReport(
-        seed=config.seed,
-        trials=config.trials,
-        max_n=config.max_n,
-        k_values=config.k_values,
-        generator_mix=_FLAVORS,
-        exact_limit=config.exact_limit,
+        config=config,
         tallies=tallies,
         failures=tuple(failures),
         notes=tuple(notes),

@@ -139,6 +139,29 @@ def is_metric(space: FiniteSemimetricSpace) -> bool:
     return True
 
 
+def fraction_metric_instance(n: int, r, seed: int) -> FiniteSemimetricSpace:
+    """``random_metric_instance`` as first written: the same draws, closed
+    under shortest paths directly in Fractions."""
+    r = Fraction(r)
+    rng = random.Random(seed)
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = r * Fraction(rng.randint(1, 10), 2)
+            dist[i][j] = dist[j][i] = d
+    for via in range(n):
+        row_via = dist[via]
+        for i in range(n):
+            d_iv = dist[i][via]
+            row_i = dist[i]
+            for j in range(n):
+                candidate = d_iv + row_via[j]
+                if candidate < row_i[j]:
+                    row_i[j] = candidate
+                    dist[j][i] = candidate
+    return build_space([f"p{i}" for i in range(n)], dist)
+
+
 def random_semimetric(rng: random.Random, n: int) -> FiniteSemimetricSpace:
     """Raw symmetric table with palette entries; no triangle inequality."""
     dist = [[Fraction(0)] * n for _ in range(n)]

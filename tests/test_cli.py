@@ -226,8 +226,28 @@ class TestMalformedInput:
                 '{"labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]], "weights": 5}',
             ),
             (["analyze", "--r", "1", "--k", "1", "--input"], '{"labels": 5, "dist": 5}'),
+            (
+                ["analyze", "--r", "1", "--k", "1", "--input"],
+                '{"labels": "ab", "dist": [["0", "1"], ["1", "0"]]}',
+            ),
+            (
+                ["analyze", "--r", "1", "--k", "1", "--input"],
+                '{"labels": ["a", "b"], "dist": ["01", "10"]}',
+            ),
+            (
+                ["analyze", "--r", "1", "--k", "1", "--input"],
+                '{"n": "2", "labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}',
+            ),
         ],
-        ids=["config-not-object", "block-sizes-not-list", "weights-not-list", "labels-not-list"],
+        ids=[
+            "config-not-object",
+            "block-sizes-not-list",
+            "weights-not-list",
+            "labels-not-list",
+            "labels-string",
+            "dist-rows-strings",
+            "n-string",
+        ],
     )
     def test_exit_1_with_one_error_line(self, capsys, tmp_path, argv, content):
         path = tmp_path / "input.json"
@@ -235,3 +255,9 @@ class TestMalformedInput:
         code, out, err = _run(capsys, *argv, str(path))
         assert code == 1 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_string_n_is_named_as_the_fault(self, capsys, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text('{"n": "2", "labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}')
+        code, out, err = _run(capsys, "analyze", "--r", "1", "--k", "1", "--input", str(path))
+        assert code == 1 and "n must be an integer" in err

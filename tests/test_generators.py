@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import clustercert as cc
+from clustercert import verify
 from clustercert.generators import load_weighted_space, dump_weighted_space
 
 import oracles
@@ -93,6 +94,13 @@ class TestRandomMetricInstance:
     def test_degenerate_sizes(self):
         assert cc.random_metric_instance(0, 1, 0).n == 0
         assert cc.random_metric_instance(1, 1, 0).n == 1
+
+    @pytest.mark.parametrize("r", verify._R_PALETTE)
+    def test_integer_closure_matches_fraction_closure(self, r):
+        for n in range(21):
+            for seed in (0, 1, 7, 2**31 + 5):
+                space = cc.random_metric_instance(n, r, seed)
+                assert space == oracles.fraction_metric_instance(n, r, seed), (n, seed)
 
 
 class TestSpaceFromPoints:

@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import clustercert as cc
 from clustercert import bounds, clustering, verify
 from clustercert.clustering import SearchLimitError
+
+import oracles
 
 
 def _four_point_bounded_space():
@@ -53,6 +56,11 @@ class TestCheckProposition:
     def test_p2_not_applicable_beyond_3r(self, s3, s3_params):
         result = verify.check_proposition(s3, s3_params, "P2")
         assert not result.applicable  # diameter 4 > 3
+
+    @given(space=oracles.semimetric_spaces(), r=st.sampled_from(oracles.PALETTE[1:]))
+    def test_p2_applies_exactly_up_to_diameter_3r(self, space, r):
+        result = verify.check_proposition(space, cc.ScaleParams(r=r, k=1), "P2")
+        assert result.applicable == (cc.subset_diameter(space, space.points()) <= 3 * r)
 
     def test_p2_fails_without_triangle_inequality(self):
         # two short edges plus one maximal medium edge defeat the bound;

@@ -140,8 +140,8 @@ def is_metric(space: FiniteSemimetricSpace) -> bool:
 
 
 def fraction_metric_instance(n: int, r, seed: int) -> FiniteSemimetricSpace:
-    """``random_metric_instance`` as first written: the same draws, closed
-    under shortest paths directly in Fractions."""
+    """Reference for ``random_metric_instance``: the same draws, closed under
+    shortest paths directly in Fractions."""
     r = Fraction(r)
     rng = random.Random(seed)
     dist = [[Fraction(0)] * n for _ in range(n)]

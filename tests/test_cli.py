@@ -258,6 +258,7 @@ class TestMalformedInput:
 
     def test_string_n_is_named_as_the_fault(self, capsys, tmp_path):
         path = tmp_path / "input.json"
-        path.write_text('{"n": "2", "labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}')
+        content = '{"n": "2", "labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}'
+        path.write_text(content, encoding="utf-8")
         code, out, err = _run(capsys, "analyze", "--r", "1", "--k", "1", "--input", str(path))
         assert code == 1 and "n must be an integer" in err

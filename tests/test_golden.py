@@ -7,7 +7,7 @@ metrics, a 30-point space where the exact search is refused, and hand-made
 spaces with distances exactly r, 2r and 3r, where the strict and closed
 threshold conventions differ. One of them breaks the triangle inequality so
 that the greedy long-edge matching is not empty. The ``generate`` cases pin
-the block witness and the noisy planted generator. Three cases have the
+the block witness and the noisy planted generator. Four cases have the
 shapes the benchmark runs: analyze and greedy on a 100-point planted space
 (two blocks of 50, noise 1/100, four pairs at exactly r), ``verify`` with 60
 trials up to n = 14, and analyze of the 60-point discretized space, whose

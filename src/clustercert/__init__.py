@@ -11,7 +11,6 @@ from .bounds import (
     BoundEvaluation,
     BoundInputs,
     ParameterError,
-    PsiResult,
     Verdict,
     build_certificate,
     evaluate_bounds,

@@ -22,7 +22,6 @@ __all__ = [
     "ParameterError",
     "BoundInputs",
     "BoundEvaluation",
-    "PsiResult",
     "Verdict",
     "BoundCertificate",
     "lambda_param",
@@ -87,13 +86,14 @@ def precondition_check(inputs: BoundInputs) -> bool:
 
 @dataclass(frozen=True)
 class BoundEvaluation:
-    """Every gate on the improved bound, decided once for one input.
+    """The improved bound psi for one input: every gate, decided once, and
+    the coefficient itself.
 
     ``lam`` and ``alpha_prime`` are None exactly when alpha = 0, and
     ``precondition_ok`` is False then. ``reason`` names the first failing
     gate, in the order alpha = 0, precondition, alpha' <= 0; it is None
     exactly when the bound is defined, that is, exactly when ``penalty`` =
-    k!(k+2) beta/alpha' is set.
+    k!(k+2) beta/alpha' and ``value`` = psi are set.
     """
 
     inputs: BoundInputs
@@ -102,10 +102,37 @@ class BoundEvaluation:
     precondition_ok: bool
     reason: str | None
     penalty: Fraction | None = None
+    value: float | None = None
+
+    @property
+    def applicable(self) -> bool:
+        return self.reason is None
+
+    @property
+    def vacuous(self) -> bool:
+        """psi is defined but not positive (reported anyway, so certificates
+        show why a bound fails to bind)."""
+        return self.value is not None and self.value <= 0
+
+    def meets(self, measure: int, n: int) -> bool | None:
+        """Exact decision of measure >= psi * n, with the square root eliminated.
+
+        measure/n >= 1 - sqrt(delta)(2k+1) - k!(k+2)beta/alpha' is equivalent
+        to (2k+1) sqrt(delta) >= q for q = 1 - k!(k+2)beta/alpha' - measure/n,
+        which holds iff q <= 0 or (2k+1)^2 delta >= q^2. Returns None when the
+        bound is undefined or n = 0.
+        """
+        if n == 0 or self.reason is not None:
+            return None
+        q = 1 - self.penalty - Fraction(measure, n)
+        if q <= 0:
+            return True
+        return (2 * self.inputs.k + 1) ** 2 * self.inputs.delta >= q * q
 
 
 def evaluate_bounds(inputs: BoundInputs) -> BoundEvaluation:
-    """Decide alpha > 0, the precondition and alpha' > 0 for ``inputs``."""
+    """Decide alpha > 0, the precondition and alpha' > 0 for ``inputs``, and
+    evaluate psi = 1 - sqrt(delta)*(2k+1) - k!(k+2)*beta/alpha' when all pass."""
     if inputs.alpha == 0:
         return BoundEvaluation(inputs, None, None, False, "alpha is not separated from zero")
     k = inputs.k
@@ -119,8 +146,12 @@ def evaluate_bounds(inputs: BoundInputs) -> BoundEvaluation:
     reason = None if ok else "precondition inequality fails"
     if ok and a_prime <= 0:
         reason = "alpha - k^3/2 * lambda is not positive"
-    penalty = None if reason else factorial(k) * (k + 2) * inputs.beta / a_prime
-    return BoundEvaluation(inputs, lam, a_prime, ok, reason, penalty)
+    if reason:
+        return BoundEvaluation(inputs, lam, a_prime, ok, reason)
+    penalty = factorial(k) * (k + 2) * inputs.beta / a_prime
+    ctx = _decimal_context()
+    value = Decimal(1) - (2 * k + 1) * _sqrt(inputs.delta, ctx) - _dec(penalty, ctx)
+    return BoundEvaluation(inputs, lam, a_prime, ok, None, penalty, float(value))
 
 
 def _defined(inputs: BoundInputs) -> BoundEvaluation:
@@ -150,34 +181,9 @@ def _nth_root(q: Fraction, m: int, ctx: decimal.Context) -> Decimal:
     return ctx.exp(ctx.divide(ctx.ln(d), Decimal(m)))
 
 
-@dataclass(frozen=True)
-class PsiResult:
-    """Improved-bound evaluation: the coefficient on n lower-bounding the
-    maximal structure measure, with the effective denominator alpha'.
-
-    ``applicable`` is False when the precondition fails or alpha' <= 0;
-    ``vacuous`` flags a defined but non-positive coefficient (reported anyway
-    so certificates show why a bound fails to bind).
-    """
-
-    applicable: bool
-    value: float | None
-    alpha_prime: Fraction | None
-    vacuous: bool
-    reason: str | None = None
-
-
-def psi_bound(inputs: BoundInputs) -> PsiResult:
-    """1 - sqrt(delta)*(2k+1) - k!(k+2)*beta/alpha', when defined."""
-    ev = evaluate_bounds(inputs)
-    a_prime = ev.alpha_prime if ev.precondition_ok else None
-    if ev.reason is not None:
-        return PsiResult(False, None, a_prime, False, ev.reason)
-    k = inputs.k
-    ctx = _decimal_context()
-    value = Decimal(1) - (2 * k + 1) * _sqrt(inputs.delta, ctx) - _dec(ev.penalty, ctx)
-    value_f = float(value)
-    return PsiResult(True, value_f, a_prime, value_f <= 0, None)
+def psi_bound(inputs: BoundInputs) -> BoundEvaluation:
+    """The bound record; ``value`` is psi when ``applicable``."""
+    return evaluate_bounds(inputs)
 
 
 def legacy_bound(beta, delta, k: int) -> float:
@@ -195,21 +201,8 @@ def legacy_bound(beta, delta, k: int) -> float:
 
 
 def measure_meets_psi(measure: int, n: int, inputs: BoundInputs) -> bool | None:
-    """Exact decision of measure >= psi * n, with the square root eliminated.
-
-    measure/n >= 1 - sqrt(delta)(2k+1) - k!(k+2)beta/alpha' is equivalent to
-    (2k+1) sqrt(delta) >= q for q = 1 - k!(k+2)beta/alpha' - measure/n, which
-    holds iff q <= 0 or (2k+1)^2 delta >= q^2. Returns None when the bound is
-    undefined (precondition fails or alpha' <= 0) or n = 0.
-    """
-    ev = evaluate_bounds(inputs)
-    if n == 0 or ev.reason is not None:
-        return None
-    k = inputs.k
-    q = 1 - ev.penalty - Fraction(measure, n)
-    if q <= 0:
-        return True
-    return (2 * k + 1) ** 2 * inputs.delta >= q * q
+    """Exact decision of measure >= psi * n; see :meth:`BoundEvaluation.meets`."""
+    return evaluate_bounds(inputs).meets(measure, n)
 
 
 @dataclass(frozen=True)
@@ -225,9 +218,10 @@ class Verdict:
 class BoundCertificate:
     """Full analysis record for one space at one scale.
 
-    Carries the observed parameters, the derived quantities and precondition
-    verdict, both bound values, the greedy and (optionally) exact structure
-    measures, and a ledger of named inequality outcomes. Exact-search trouble
+    Carries the observed parameters, the improved-bound record ``bounds``
+    (derived quantities, gates and psi), the legacy bound value, the greedy
+    and (optionally) exact structure measures, and a ledger of named
+    inequality outcomes. Exact-search trouble
     (size limit, node budget) is recorded in ``exact_note`` rather than
     aborting the certificate.
     """
@@ -236,13 +230,7 @@ class BoundCertificate:
     r: Fraction
     k: int
     observed: stats.ObservedParams
-    lam: Fraction | None
-    alpha_prime: Fraction | None
-    precondition_ok: bool
-    precondition_reason: str | None
-    psi: float | None
-    psi_vacuous: bool
-    psi_reason: str | None
+    bounds: BoundEvaluation
     legacy: float
     greedy_clusters: tuple[tuple[str, ...], ...]
     greedy_measure: int
@@ -257,6 +245,7 @@ class BoundCertificate:
     def to_obj(self) -> dict:
         """JSON-ready form: exact rationals as p/q strings, sorted content."""
         obs = self.observed
+        ev = self.bounds
         obj = {
             "n": self.n,
             "r": str(self.r),
@@ -271,13 +260,13 @@ class BoundCertificate:
                 "beta": str(obs.beta_hat),
                 "alpha": str(obs.alpha_hat),
             },
-            "lambda": None if self.lam is None else str(self.lam),
-            "alphaPrime": None if self.alpha_prime is None else str(self.alpha_prime),
-            "precondition": self.precondition_ok,
-            "preconditionReason": self.precondition_reason,
-            "psi": self.psi,
-            "psiVacuous": self.psi_vacuous,
-            "psiReason": self.psi_reason,
+            "lambda": None if ev.lam is None else str(ev.lam),
+            "alphaPrime": None if ev.alpha_prime is None else str(ev.alpha_prime),
+            "precondition": ev.precondition_ok,
+            "preconditionReason": None if ev.precondition_ok else ev.reason,
+            "psi": ev.value,
+            "psiVacuous": ev.vacuous,
+            "psiReason": ev.reason,
             "legacy": self.legacy,
             "greedy": {
                 "clusters": [list(c) for c in self.greedy_clusters],
@@ -321,9 +310,7 @@ def build_certificate(
     k = params.k
     observed = stats.observed_parameters(space, params)
     ev = _observed_bounds(space, params)
-    inputs = ev.inputs
-    psi = psi_bound(inputs)
-    legacy = legacy_bound(inputs.beta, inputs.delta, k)
+    legacy = legacy_bound(ev.inputs.beta, ev.inputs.delta, k)
 
     decomp = clustering.greedy_decomposition(space, params)
     greedy = clustering.greedy_structure(decomp, k)
@@ -356,13 +343,13 @@ def build_certificate(
                 detail=f"{greedy.measure} <= {exact_measure}",
             )
         )
-    if psi.applicable:  # never at n = 0, where alpha = 0
+    if ev.applicable:  # never at n = 0, where alpha = 0
         for name, measure in measures.items():
             verdicts.append(
                 Verdict(
                     name=f"{name}_measure_ge_psi_times_n",
-                    holds=bool(measure_meets_psi(measure, n, inputs)),
-                    detail=f"measure {measure}, psi*n ~ {psi.value * n:.6g}",
+                    holds=ev.meets(measure, n),
+                    detail=f"measure {measure}, psi*n ~ {ev.value * n:.6g}",
                 )
             )
 
@@ -371,13 +358,7 @@ def build_certificate(
         r=params.r,
         k=k,
         observed=observed,
-        lam=ev.lam,
-        alpha_prime=ev.alpha_prime,
-        precondition_ok=ev.precondition_ok,
-        precondition_reason=None if ev.precondition_ok else ev.reason,
-        psi=psi.value,
-        psi_vacuous=psi.vacuous,
-        psi_reason=psi.reason,
+        bounds=ev,
         legacy=legacy,
         greedy_clusters=tuple(_labels(space, c) for c in greedy.clusters),
         greedy_measure=greedy.measure,

@@ -20,6 +20,7 @@ from .serialize import write_report
 from .space import (
     ScaleParams,
     SpaceFormatError,
+    _is_int,
     _labels,
     as_fraction,
     dump_space,
@@ -197,12 +198,17 @@ def _cmd_generate(args) -> int:
                 raise TypeError("generator config must be a JSON object with a blockSizes list")
             kind = spec.get("kind")
             r = as_fraction(spec.get("r", "1"))
-            k = int(spec.get("k", 1))
+            k = spec.get("k", 1)
             m = spec.get("m")
             m0 = spec.get("m0")
-            block_sizes = [int(b) for b in spec.get("blockSizes", [])]
+            block_sizes = spec.get("blockSizes", [])
             noise = as_fraction(spec.get("noise", 0))
-            seed = int(spec.get("seed", 0))
+            seed = spec.get("seed", 0)
+            counts = {"k": k, "m": m, "m0": m0, "seed": seed}
+            counts.update((f"blockSizes[{i}]", b) for i, b in enumerate(block_sizes))
+            for name, value in counts.items():
+                if value is not None and not _is_int(value):
+                    raise TypeError(f"{name} must be a JSON integer, got {json.dumps(value)}")
         except (TypeError, ValueError) as exc:
             raise SpaceFormatError(f"{args.config}: {exc}") from exc
     else:

@@ -248,25 +248,13 @@ def greedy_decomposition(space: FiniteSemimetricSpace, params: ScaleParams) -> G
     )
 
 
-def greedy_structure(
-    decomp: GreedyDecomposition, k: int, *, selection: str = "largest"
-) -> ClusterStructure:
-    """Cluster structure assembled from decomposition kernels.
-
-    ``selection="largest"`` takes the kernels of the k parts with the largest
-    |Z_i| (ties to earlier parts); ``selection="first"`` takes the first k
-    parts in construction order. Missing clusters are padded with empty sets
-    so the result always has order k.
+def greedy_structure(decomp: GreedyDecomposition, k: int) -> ClusterStructure:
+    """Cluster structure from the kernels of the k parts with the largest
+    |Z_i| (ties to earlier parts). Missing clusters are padded with empty
+    sets so the result always has order k.
     """
     _positive_order(k)
-    parts = decomp.parts
-    if selection == "largest":
-        chosen = _largest(parts, k)
-    elif selection == "first":
-        chosen = list(range(min(k, len(parts))))
-    else:
-        raise ValueError(f"unknown selection {selection!r}")
-    clusters = [parts[i].x for i in chosen]
+    clusters = [decomp.parts[i].x for i in _largest(decomp.parts, k)]
     clusters.extend(frozenset() for _ in range(k - len(clusters)))
     return ClusterStructure(clusters=tuple(clusters))
 

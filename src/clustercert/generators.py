@@ -17,7 +17,9 @@ from .space import (
     FiniteSemimetricSpace,
     SpaceFormatError,
     _bits,
+    _is_int,
     _parse_space_lines,
+    _positive_order,
     _positive_scale,
     as_fraction,
     build_space,
@@ -62,11 +64,10 @@ class TightInstanceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "r", as_fraction(self.r))
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if not isinstance(self.m, int) or self.m < 1:
+        _positive_order(self.k)
+        if not _is_int(self.m) or self.m < 1:
             raise ValueError(f"block size m must be a positive integer, got {self.m!r}")
-        if not isinstance(self.m0, int) or self.m0 < self.m:
+        if not _is_int(self.m0) or self.m0 < self.m:
             raise ValueError(f"m0 must be an integer >= m (got m0={self.m0!r}, m={self.m!r})")
         _positive_scale(self.r)
 
@@ -113,10 +114,9 @@ def planted_instance(
     sampled without replacement, are re-drawn from (r, 3r], so the medium-edge
     count equals the number of re-drawn pairs. Bit-exact for a fixed seed.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    sizes = [int(s) for s in block_sizes]
-    if not sizes or any(s < 1 for s in sizes):
+    _positive_order(k)
+    sizes = list(block_sizes)
+    if not sizes or any(not _is_int(s) or s < 1 for s in sizes):
         raise ValueError(f"block sizes must be positive integers, got {block_sizes!r}")
     if len(sizes) != k:
         raise ValueError(f"expected {k} block sizes, got {len(sizes)}")
@@ -159,7 +159,7 @@ def random_metric_instance(n: int, r, seed: int) -> FiniteSemimetricSpace:
     The closure runs on integer half-units: it commutes with scaling by
     r/2 > 0, so each cell is converted to r * h / 2 once, at the end.
     """
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError(f"point count must be a non-negative integer, got {n!r}")
     r = _positive_scale(r)
     rng = random.Random(seed)

@@ -47,10 +47,11 @@ def as_fraction(value) -> Fraction:
     Strings may be in decimal ("0.25") or ratio ("1/3") form and are parsed
     exactly. Floats are converted from their exact binary value, so text is
     the safe path for values like 0.1 that have no finite binary expansion.
+    Booleans are not numbers here: they raise TypeError.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -104,9 +105,14 @@ def _positive_scale(r) -> Fraction:
     return r
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: JSON true and false are never counts."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive_order(k) -> None:
     """ValueError unless the order k is an integer >= 1."""
-    if not isinstance(k, int) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ValueError(f"order k must be a positive integer, got {k!r}")
 
 
@@ -393,7 +399,7 @@ def space_from_obj(obj: dict) -> FiniteSemimetricSpace:
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise SpaceFormatError("dist must be a list of lists")
     declared = obj.get("n")
-    if declared is not None and (isinstance(declared, bool) or not isinstance(declared, int)):
+    if declared is not None and not _is_int(declared):
         raise SpaceFormatError(f"n must be an integer, got {type(declared).__name__}")
     space = build_space(labels, dist)
     if declared is not None and declared != space.n:

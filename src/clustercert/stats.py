@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
-from .space import FiniteSemimetricSpace, ScaleParams, _mask, as_fraction
+from .space import FiniteSemimetricSpace, ScaleParams, _is_int, _mask, as_fraction
 
 __all__ = [
     "ObservedParams",
@@ -76,7 +76,7 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
     partial subset as soon as too few candidates remain, so it is exact and
     deterministic.
     """
-    if not isinstance(s, int) or s < 0:
+    if not _is_int(s) or s < 0:
         raise ValueError(f"anticlique order must be a non-negative integer, got {s!r}")
     if s == 0:
         return 1
@@ -103,11 +103,11 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
 def elementary_symmetric(values: Sequence[int], s: int) -> int:
     """e_s(values): the sum over s-subsets of products, via the
     degree-truncated product recurrence. Exact integer arithmetic."""
-    if not isinstance(s, int) or s < 0:
+    if not _is_int(s) or s < 0:
         raise ValueError(f"degree must be a non-negative integer, got {s!r}")
     vals = list(values)
     for idx, v in enumerate(vals):
-        if not isinstance(v, int) or v < 0:
+        if not _is_int(v) or v < 0:
             raise ValueError(f"value {idx} must be a non-negative integer, got {v!r}")
     coeffs = [0] * (s + 1)
     coeffs[0] = 1

@@ -25,7 +25,7 @@ from math import factorial
 from . import bounds, clustering, stats
 from .clustering import DEFAULT_EXACT_LIMIT
 from .generators import TightInstanceSpec, planted_instance, random_metric_instance, tight_instance
-from .space import FiniteSemimetricSpace, ScaleParams, as_fraction, dump_space, load_space
+from .space import FiniteSemimetricSpace, ScaleParams, _is_int, as_fraction, dump_space, load_space
 
 __all__ = [
     "PROP_IDS",
@@ -174,25 +174,18 @@ def _check_p6(space, params, **_):
 def _check_t1(space, params, *, exact_limit, node_budget, **_):
     # Both the exact optimum and the greedy structure built from the k
     # largest parts have measure at least psi * n. Decided exactly: the
-    # square root is eliminated by squaring inside measure_meets_psi.
+    # square root is eliminated by squaring inside BoundEvaluation.meets.
     n = space.n
     k = params.k
-    if n == 0:
-        return _not_applicable("T1", "empty space")
     ev = bounds._observed_bounds(space, params)
-    if ev.reason is not None:
+    if ev.reason is not None:  # always so at n = 0, where alpha = 0
         return _not_applicable("T1", ev.reason)
-    inputs = ev.inputs
     result, reason = _optimum(space, params, exact_limit, node_budget)
     if result is None:
         return _not_applicable("T1", reason)
     decomp = clustering.greedy_decomposition(space, params)
     greedy = clustering.greedy_structure(decomp, k)
-    greedy_ok = bounds.measure_meets_psi(greedy.measure, n, inputs)
-    exact_ok = bounds.measure_meets_psi(result.measure, n, inputs)
-    passed = bool(greedy_ok) and bool(exact_ok)
-    psi = bounds.psi_bound(inputs)
-    rhs = Fraction(psi.value) * n if psi.value is not None else None
+    passed = ev.meets(greedy.measure, n) and ev.meets(result.measure, n)
     witness = None
     if not passed:
         witness = {"greedyMeasure": greedy.measure, "exactMeasure": result.measure}
@@ -201,7 +194,7 @@ def _check_t1(space, params, *, exact_limit, node_budget, **_):
         True,
         passed,
         min(greedy.measure, result.measure),
-        rhs,
+        Fraction(ev.value) * n,
         note="rhs is a high-precision evaluation of psi*n; the verdict is decided exactly",
         witness=witness,
     )
@@ -263,7 +256,7 @@ class SuiteConfig:
             raise ValueError(
                 f"max_n={self.max_n} exceeds the exact-search limit {self.exact_limit}"
             )
-        if not self.k_values or any(not isinstance(k, int) or k < 1 for k in self.k_values):
+        if not self.k_values or any(not _is_int(k) or k < 1 for k in self.k_values):
             raise ValueError("k_values must be positive integers")
 
 

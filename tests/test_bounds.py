@@ -76,6 +76,10 @@ class TestEvaluateBounds:
         else:
             assert ev.lam == cc.lambda_param(inputs)
             assert ev.alpha_prime == cc.alpha_prime(inputs)
+        assert (ev.value is None) == (ev.reason is not None)
+        for n in (0, 1, 7, 20):
+            for m in range(n + 1):
+                assert cc.measure_meets_psi(m, n, inputs) == ev.meets(m, n)
 
 
 _UNIT_RATIONALS = st.fractions(min_value=0, max_value=1, max_denominator=1000)
@@ -228,20 +232,41 @@ class TestMeasureMeetsPsi:
             assert exact == (approx > 0)
 
 
+class TestSingleEvaluation:
+    def test_one_bound_evaluation_per_certificate_and_per_t1_check(self, monkeypatch):
+        calls = []
+        evaluate = cc.bounds.evaluate_bounds
+
+        def counted(inputs):
+            calls.append(inputs)
+            return evaluate(inputs)
+
+        monkeypatch.setattr(cc.bounds, "evaluate_bounds", counted)
+        space = cc.planted_instance(2, [5, 5], 0, 1, seed=3)
+        params = cc.ScaleParams(r=1, k=2)
+        cert = cc.build_certificate(space, params)
+        assert len(calls) == 1
+        names = {v.name for v in cert.verdicts}
+        assert {"greedy_measure_ge_psi_times_n", "exact_measure_ge_psi_times_n"} <= names
+        calls.clear()
+        assert cc.check_proposition(space, params, "T1").applicable
+        assert len(calls) == 1
+
+
 class TestBuildCertificate:
     def test_three_point_certificate(self, s3, s3_params):
         cert = cc.build_certificate(s3, s3_params)
         assert cert.n == 3
         assert cert.observed.beta_hat == 0
-        assert not cert.precondition_ok  # delta_hat = 2/9 > 2/27
-        assert cert.psi is None
+        assert not cert.bounds.precondition_ok  # delta_hat = 2/9 > 2/27
+        assert cert.bounds.value is None
         assert cert.greedy_measure == 3
         assert cert.exact_measure == 3
         assert cert.greedy_valid and cert.exact_valid
 
     def test_tight_certificate(self, tight9, tight9_params):
         cert = cc.build_certificate(tight9, tight9_params)
-        assert not cert.precondition_ok
+        assert not cert.bounds.precondition_ok
         assert cert.greedy_measure == 6
         assert cert.exact_measure == 6
         assert cert.n == 9
@@ -254,16 +279,16 @@ class TestBuildCertificate:
         cert = cc.build_certificate(cc.build_space([], []), cc.ScaleParams(r=1, k=2))
         assert cert.n == 0
         assert cert.observed.medium_edges == 0
-        assert not cert.precondition_ok
-        assert cert.precondition_reason == "alpha is not separated from zero"
+        assert not cert.bounds.precondition_ok
+        assert cert.bounds.reason == "alpha is not separated from zero"
         assert cert.greedy_measure == 0
         assert cert.exact_measure == 0
 
     def test_singleton_meets_unit_bound(self):
         space = cc.build_space(["a"], [["0"]])
         cert = cc.build_certificate(space, cc.ScaleParams(r=1, k=1))
-        assert cert.precondition_ok
-        assert cert.psi == 1.0
+        assert cert.bounds.precondition_ok
+        assert cert.bounds.value == 1.0
         verdicts = {v.name: v.holds for v in cert.verdicts}
         assert verdicts["greedy_measure_ge_psi_times_n"]
         assert verdicts["exact_measure_ge_psi_times_n"]

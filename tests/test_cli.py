@@ -238,6 +238,27 @@ class TestMalformedInput:
                 ["analyze", "--r", "1", "--k", "1", "--input"],
                 '{"n": "2", "labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}',
             ),
+            (
+                ["analyze", "--r", "1", "--k", "1", "--input"],
+                '{"labels": ["a", "b"], "dist": [[false, true], [true, false]]}',
+            ),
+            (
+                ["discretize", "--eps", "0.1", "--input"],
+                '{"labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]], "weights": [true, "1"]}',
+            ),
+            (["generate", "--config"], '{"kind": "planted", "k": 1, "blockSizes": [3], "r": true}'),
+            (
+                ["generate", "--config"],
+                '{"kind": "planted", "k": 1, "blockSizes": [3], "r": "1", "noise": false}',
+            ),
+            (["generate", "--config"], '{"kind": "tight", "k": true, "m": true, "m0": 2, "r": "1"}'),
+            (["generate", "--config"], '{"kind": "tight", "k": 1, "m": 1, "m0": 2.5, "r": "1"}'),
+            (["generate", "--config"], '{"kind": "planted", "k": 2.7, "blockSizes": [2, 3], "r": "1"}'),
+            (["generate", "--config"], '{"kind": "planted", "k": 2, "blockSizes": [2.9, 3], "r": "1"}'),
+            (
+                ["generate", "--config"],
+                '{"kind": "planted", "k": 1, "blockSizes": [3], "r": "1", "seed": 1.5}',
+            ),
         ],
         ids=[
             "config-not-object",
@@ -247,6 +268,15 @@ class TestMalformedInput:
             "labels-string",
             "dist-rows-strings",
             "n-string",
+            "dist-booleans",
+            "weight-boolean",
+            "config-r-boolean",
+            "config-noise-boolean",
+            "config-k-m-booleans",
+            "config-m0-float",
+            "config-k-float",
+            "config-block-size-float",
+            "config-seed-float",
         ],
     )
     def test_exit_1_with_one_error_line(self, capsys, tmp_path, argv, content):

@@ -163,17 +163,6 @@ class TestGreedyStructure:
         assert structure.measure == 3
         assert [len(c) for c in structure.clusters] == [2, 1, 0, 0, 0]
 
-    def test_first_selection(self, tight9, tight9_params):
-        decomp = cc.greedy_decomposition(tight9, tight9_params)
-        by_first = cc.greedy_structure(decomp, 2, selection="first")
-        by_size = cc.greedy_structure(decomp, 2, selection="largest")
-        assert by_first == by_size  # equal-size parts: both take the first two
-
-    def test_bad_selection_rejected(self, s3, s3_params):
-        decomp = cc.greedy_decomposition(s3, s3_params)
-        with pytest.raises(ValueError):
-            cc.greedy_structure(decomp, 2, selection="random")
-
     @given(
         space=oracles.metric_spaces(min_n=1, max_n=8),
         k=st.integers(1, 3),
@@ -194,9 +183,8 @@ class TestGreedyStructure:
     def test_structures_always_validate(self, space, k):
         params = cc.ScaleParams(r=Fraction(1), k=k)
         decomp = cc.greedy_decomposition(space, params)
-        for selection in ("largest", "first"):
-            structure = cc.greedy_structure(decomp, k, selection=selection)
-            assert cc.validate_structure(space, structure, params).ok
+        structure = cc.greedy_structure(decomp, k)
+        assert cc.validate_structure(space, structure, params).ok
 
 
 class TestExactStructure:

@@ -31,6 +31,13 @@ class TestTightInstance:
         with pytest.raises(ValueError):
             cc.TightInstanceSpec(k=2, m=3, m0=2, r=Fraction(1))
 
+    @pytest.mark.parametrize(
+        "k, m, m0", [(True, 1, 2), (1, True, 2), (1, 1, True), (1.0, 1, 2), (1, 2.0, 2), (1, 1, 2.5)]
+    )
+    def test_counts_must_be_true_integers(self, k, m, m0):
+        with pytest.raises(ValueError):
+            cc.TightInstanceSpec(k=k, m=m, m0=m0, r=Fraction(1))
+
     def test_witness_is_a_metric(self, tight9):
         assert oracles.is_metric(tight9)
 
@@ -81,8 +88,17 @@ class TestPlantedInstance:
         with pytest.raises(ValueError):
             cc.planted_instance(1, (0,), 0, 1, seed=0)
 
+    @pytest.mark.parametrize("k, sizes", [(2, [2.9, 3]), (2, [True, 3]), (True, [3]), (2.0, [2, 3])])
+    def test_counts_must_be_true_integers(self, k, sizes):
+        with pytest.raises(ValueError):
+            cc.planted_instance(k, sizes, 0, 1, 1)
+
 
 class TestRandomMetricInstance:
+    def test_boolean_point_count_rejected(self):
+        with pytest.raises(ValueError):
+            cc.random_metric_instance(True, 1, 0)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_closure_yields_metric(self, seed):
         space = cc.random_metric_instance(7, Fraction(1), seed)

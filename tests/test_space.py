@@ -87,7 +87,9 @@ class TestScaleParams:
         params = cc.ScaleParams(r="0.25", k=3)
         assert params.r == Fraction(1, 4)
 
-    @pytest.mark.parametrize("r,k", [(0, 1), (-1, 1), (1, 0), (1, -2)])
+    @pytest.mark.parametrize(
+        "r,k", [(0, 1), (-1, 1), (1, 0), (1, -2), (1, True), (1, 2.0), (1, 2.7)]
+    )
     def test_invalid_params_rejected(self, r, k):
         with pytest.raises(ValueError):
             cc.ScaleParams(r=r, k=k)
@@ -273,3 +275,9 @@ class TestFileFormat:
 def test_format_rational(value, expected):
     assert cc.format_rational(value) == expected
     assert cc.as_fraction(expected) == value
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_as_fraction_rejects_booleans(value):
+    with pytest.raises(TypeError):
+        cc.as_fraction(value)

@@ -51,6 +51,10 @@ class TestAnticliqueCount:
     def test_order_zero_is_one(self, s3):
         assert cc.anticlique_count(s3, 1, 0) == 1
 
+    def test_boolean_order_rejected(self, s3):
+        with pytest.raises(ValueError):
+            cc.anticlique_count(s3, 1, True)
+
     def test_negative_order_rejected(self, s3):
         with pytest.raises(ValueError):
             cc.anticlique_count(s3, 1, -1)
@@ -88,6 +92,12 @@ class TestElementarySymmetric:
         assert cc.elementary_symmetric((3, 2, 1), 2) == 11
         assert cc.elementary_symmetric((3, 2, 1), 0) == 1
         assert cc.elementary_symmetric((3, 2, 1), 4) == 0
+
+    def test_booleans_rejected(self):
+        with pytest.raises(ValueError):
+            cc.elementary_symmetric([2, 3], True)
+        with pytest.raises(ValueError):
+            cc.elementary_symmetric([True, 3], 1)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -135,6 +135,11 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             verify.SuiteConfig(seed=1, trials=1, max_n=20, exact_limit=14)
 
+    @pytest.mark.parametrize("k_values", [(True,), (1, 2.0)])
+    def test_k_values_must_be_true_integers(self, k_values):
+        with pytest.raises(ValueError):
+            verify.SuiteConfig(seed=1, trials=1, k_values=k_values)
+
     def test_report_serializes(self):
         report = verify.run_suite(verify.SuiteConfig(seed=5, trials=9, max_n=6))
         obj = report.to_obj()

@@ -13,6 +13,7 @@ import decimal
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from . import clustering, stats
@@ -93,7 +94,7 @@ class BoundEvaluation:
     ``precondition_ok`` is False then. ``reason`` names the first failing
     gate, in the order alpha = 0, precondition, alpha' <= 0; it is None
     exactly when the bound is defined, that is, exactly when ``penalty`` =
-    k!(k+2) beta/alpha' and ``value`` = psi are set.
+    k!(k+2) beta/alpha' is set and ``value`` = psi is not None.
     """
 
     inputs: BoundInputs
@@ -102,11 +103,21 @@ class BoundEvaluation:
     precondition_ok: bool
     reason: str | None
     penalty: Fraction | None = None
-    value: float | None = None
 
     @property
     def applicable(self) -> bool:
         return self.reason is None
+
+    @cached_property
+    def value(self) -> float | None:
+        """psi = 1 - sqrt(delta)*(2k+1) - penalty, evaluated on first read:
+        the gates and the verdicts never need it."""
+        if self.penalty is None:
+            return None
+        ctx = _decimal_context()
+        k = self.inputs.k
+        value = Decimal(1) - (2 * k + 1) * _sqrt(self.inputs.delta, ctx) - _dec(self.penalty, ctx)
+        return float(value)
 
     @property
     def vacuous(self) -> bool:
@@ -132,7 +143,7 @@ class BoundEvaluation:
 
 def evaluate_bounds(inputs: BoundInputs) -> BoundEvaluation:
     """Decide alpha > 0, the precondition and alpha' > 0 for ``inputs``, and
-    evaluate psi = 1 - sqrt(delta)*(2k+1) - k!(k+2)*beta/alpha' when all pass."""
+    set the penalty k!(k+2)*beta/alpha' of psi when all pass."""
     if inputs.alpha == 0:
         return BoundEvaluation(inputs, None, None, False, "alpha is not separated from zero")
     k = inputs.k
@@ -149,9 +160,7 @@ def evaluate_bounds(inputs: BoundInputs) -> BoundEvaluation:
     if reason:
         return BoundEvaluation(inputs, lam, a_prime, ok, reason)
     penalty = factorial(k) * (k + 2) * inputs.beta / a_prime
-    ctx = _decimal_context()
-    value = Decimal(1) - (2 * k + 1) * _sqrt(inputs.delta, ctx) - _dec(penalty, ctx)
-    return BoundEvaluation(inputs, lam, a_prime, ok, None, penalty, float(value))
+    return BoundEvaluation(inputs, lam, a_prime, ok, None, penalty)
 
 
 def _defined(inputs: BoundInputs) -> BoundEvaluation:
@@ -218,38 +227,46 @@ class Verdict:
 class BoundCertificate:
     """Full analysis record for one space at one scale.
 
-    Carries the observed parameters, the improved-bound record ``bounds``
-    (derived quantities, gates and psi), the legacy bound value, the greedy
-    and (optionally) exact structure measures, and a ledger of named
-    inequality outcomes. Exact-search trouble
-    (size limit, node budget) is recorded in ``exact_note`` rather than
-    aborting the certificate.
+    Holds the records :func:`build_certificate` computes: the observed
+    parameters, the improved-bound record ``bounds``, the legacy bound, the
+    greedy structure and exact search result with their validations, and a
+    ledger of named inequality outcomes. ``exact`` is None when the search is
+    refused; the refusal, or an exhausted node budget, is recorded in
+    ``exact_note`` rather than aborting the certificate.
     """
 
-    n: int
-    r: Fraction
-    k: int
+    space: FiniteSemimetricSpace
+    params: ScaleParams
     observed: stats.ObservedParams
     bounds: BoundEvaluation
     legacy: float
-    greedy_clusters: tuple[tuple[str, ...], ...]
-    greedy_measure: int
-    greedy_valid: bool
-    exact_measure: int | None
-    exact_optimal: bool | None
-    exact_clusters: tuple[tuple[str, ...], ...] | None
-    exact_valid: bool | None
+    greedy: clustering.ClusterStructure
+    greedy_validation: clustering.StructureValidation
+    exact: clustering.ExactSearchResult | None
+    exact_validation: clustering.StructureValidation | None
     exact_note: str | None
     verdicts: tuple[Verdict, ...]
+
+    def _structure_obj(self, structure, validation) -> dict:
+        return {
+            "clusters": [list(_labels(self.space, c)) for c in structure.clusters],
+            "measure": structure.measure,
+            "valid": validation.ok,
+        }
 
     def to_obj(self) -> dict:
         """JSON-ready form: exact rationals as p/q strings, sorted content."""
         obs = self.observed
         ev = self.bounds
-        obj = {
-            "n": self.n,
-            "r": str(self.r),
-            "k": self.k,
+        exact = {"measure": None, "optimal": None, "clusters": None, "valid": None}
+        if self.exact is not None:
+            exact = self._structure_obj(self.exact.structure, self.exact_validation)
+            exact["optimal"] = self.exact.optimal
+        exact["note"] = self.exact_note
+        return {
+            "n": self.space.n,
+            "r": str(self.params.r),
+            "k": self.params.k,
             "counts": {
                 "M": obs.medium_edges,
                 "Tk": obs.anticliques_k,
@@ -268,25 +285,12 @@ class BoundCertificate:
             "psiVacuous": ev.vacuous,
             "psiReason": ev.reason,
             "legacy": self.legacy,
-            "greedy": {
-                "clusters": [list(c) for c in self.greedy_clusters],
-                "measure": self.greedy_measure,
-                "valid": self.greedy_valid,
-            },
-            "exact": {
-                "measure": self.exact_measure,
-                "optimal": self.exact_optimal,
-                "clusters": None
-                if self.exact_clusters is None
-                else [list(c) for c in self.exact_clusters],
-                "valid": self.exact_valid,
-                "note": self.exact_note,
-            },
+            "greedy": self._structure_obj(self.greedy, self.greedy_validation),
+            "exact": exact,
             "verdicts": [
                 {"name": v.name, "holds": v.holds, "detail": v.detail} for v in self.verdicts
             ],
         }
-        return obj
 
 
 def _observed_bounds(space: FiniteSemimetricSpace, params: ScaleParams) -> BoundEvaluation:
@@ -300,20 +304,17 @@ def build_certificate(
     space: FiniteSemimetricSpace,
     params: ScaleParams,
     *,
-    include_exact: bool = True,
     exact_limit: int = clustering.DEFAULT_EXACT_LIMIT,
     node_budget: int | None = None,
 ) -> BoundCertificate:
-    """Compose the observed parameters, greedy decomposition, optional exact
-    search, and both bounds into one certificate."""
+    """Compose the observed parameters, greedy decomposition, exact search
+    (unless ``exact_limit`` refuses it), and both bounds into one certificate."""
     n = space.n
-    k = params.k
     observed = stats.observed_parameters(space, params)
     ev = _observed_bounds(space, params)
-    legacy = legacy_bound(ev.inputs.beta, ev.inputs.delta, k)
+    legacy = legacy_bound(ev.inputs.beta, ev.inputs.delta, params.k)
 
-    decomp = clustering.greedy_decomposition(space, params)
-    greedy = clustering.greedy_structure(decomp, k)
+    greedy = clustering.greedy_structure(clustering.greedy_decomposition(space, params), params.k)
     greedy_validation = clustering.validate_structure(space, greedy, params)
 
     verdicts = [
@@ -324,23 +325,21 @@ def build_certificate(
         )
     ]
     measures = {"greedy": greedy.measure}
-    exact_measure = exact_optimal = exact_clusters = exact_valid = None
-    exact_note = clustering._refusal(n, exact_limit) if include_exact else "exact search disabled"
+    exact = exact_validation = None
+    exact_note = clustering._refusal(n, exact_limit)
     if exact_note is None:
-        exact_result = clustering.exact_structure(
+        exact = clustering.exact_structure(
             space, params, max_points=exact_limit, node_budget=node_budget
         )
-        exact_measure = measures["exact"] = exact_result.measure
-        exact_optimal = exact_result.optimal
-        exact_clusters = tuple(_labels(space, c) for c in exact_result.structure.clusters)
-        exact_valid = clustering.validate_structure(space, exact_result.structure, params).ok
-        if not exact_result.optimal:
+        exact_validation = clustering.validate_structure(space, exact.structure, params)
+        measures["exact"] = exact.measure
+        if not exact.optimal:
             exact_note = "node budget exhausted; best structure found so far"
         verdicts.append(
             Verdict(
                 name="greedy_measure_le_exact_measure",
-                holds=greedy.measure <= exact_measure,
-                detail=f"{greedy.measure} <= {exact_measure}",
+                holds=greedy.measure <= exact.measure,
+                detail=f"{greedy.measure} <= {exact.measure}",
             )
         )
     if ev.applicable:  # never at n = 0, where alpha = 0
@@ -354,19 +353,15 @@ def build_certificate(
             )
 
     return BoundCertificate(
-        n=n,
-        r=params.r,
-        k=k,
+        space=space,
+        params=params,
         observed=observed,
         bounds=ev,
         legacy=legacy,
-        greedy_clusters=tuple(_labels(space, c) for c in greedy.clusters),
-        greedy_measure=greedy.measure,
-        greedy_valid=greedy_validation.ok,
-        exact_measure=exact_measure,
-        exact_optimal=exact_optimal,
-        exact_clusters=exact_clusters,
-        exact_valid=exact_valid,
+        greedy=greedy,
+        greedy_validation=greedy_validation,
+        exact=exact,
+        exact_validation=exact_validation,
         exact_note=exact_note,
         verdicts=tuple(verdicts),
     )

@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="full bound certificate")
     add_common(p_analyze)
     p_analyze.add_argument("--exact-limit", type=int, default=clustering.DEFAULT_EXACT_LIMIT)
-    p_analyze.add_argument("--no-exact", action="store_true", help="skip the exact search")
 
     p_greedy = sub.add_parser("greedy", help="greedy decomposition dump")
     add_common(p_greedy)
@@ -134,9 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_analyze(args) -> int:
     space = _read_input(args.input, space_from_obj, load_space)
     params = ScaleParams(r=args.r, k=args.k)
-    cert = bounds.build_certificate(
-        space, params, include_exact=not args.no_exact, exact_limit=args.exact_limit
-    )
+    cert = bounds.build_certificate(space, params, exact_limit=args.exact_limit)
     _emit(write_report(cert, fmt=args.format), args.output)
     return 0
 

@@ -386,9 +386,9 @@ def space_to_obj(space: FiniteSemimetricSpace) -> dict:
 
 
 def space_from_obj(obj: dict) -> FiniteSemimetricSpace:
-    """Parse the structured-object form. ``labels`` must be a list, ``dist`` a
-    list of lists and ``n``, when present, an integer: a JSON string is never
-    read as a sequence of characters."""
+    """Parse the structured-object form. ``labels`` must be a list of strings,
+    ``dist`` a list of lists and ``n``, when present, an integer: a JSON string
+    is never read as a sequence of characters, nor another JSON value as a label."""
     try:
         labels = obj["labels"]
         dist = obj["dist"]
@@ -396,6 +396,9 @@ def space_from_obj(obj: dict) -> FiniteSemimetricSpace:
         raise SpaceFormatError(f"space object is missing field: {exc}") from exc
     if not isinstance(labels, list):
         raise SpaceFormatError(f"labels must be a list, got {type(labels).__name__}")
+    for idx, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise SpaceFormatError(f"label {idx} must be a string, got {type(label).__name__}")
     if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise SpaceFormatError("dist must be a list of lists")
     declared = obj.get("n")

@@ -248,6 +248,10 @@ class SuiteConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "k_values", tuple(self.k_values))
+        for name in ("seed", "trials", "max_n", "exact_limit", "node_budget"):
+            value = getattr(self, name)
+            if not _is_int(value) and (name != "node_budget" or value is not None):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
         if self.max_n < 1:

@@ -252,24 +252,40 @@ class TestSingleEvaluation:
         assert cc.check_proposition(space, params, "T1").applicable
         assert len(calls) == 1
 
+    def test_psi_is_evaluated_only_where_it_is_read(self, monkeypatch):
+        calls = []
+        sqrt = cc.bounds._sqrt
+
+        def counted(q, ctx):
+            calls.append(q)
+            return sqrt(q, ctx)
+
+        monkeypatch.setattr(cc.bounds, "_sqrt", counted)
+        space = cc.planted_instance(2, [5, 5], 0, 1, seed=3)
+        params = cc.ScaleParams(r=1, k=2)
+        for prop_id, expected in (("P3", 0), ("P5", 0), ("P6", 0), ("T1", 1)):
+            calls.clear()
+            assert cc.check_proposition(space, params, prop_id).applicable
+            assert len(calls) == expected, prop_id
+
 
 class TestBuildCertificate:
     def test_three_point_certificate(self, s3, s3_params):
         cert = cc.build_certificate(s3, s3_params)
-        assert cert.n == 3
+        assert cert.space.n == 3
         assert cert.observed.beta_hat == 0
         assert not cert.bounds.precondition_ok  # delta_hat = 2/9 > 2/27
         assert cert.bounds.value is None
-        assert cert.greedy_measure == 3
-        assert cert.exact_measure == 3
-        assert cert.greedy_valid and cert.exact_valid
+        assert cert.greedy.measure == 3
+        assert cert.exact.measure == 3
+        assert cert.greedy_validation.ok and cert.exact_validation.ok
 
     def test_tight_certificate(self, tight9, tight9_params):
         cert = cc.build_certificate(tight9, tight9_params)
         assert not cert.bounds.precondition_ok
-        assert cert.greedy_measure == 6
-        assert cert.exact_measure == 6
-        assert cert.n == 9
+        assert cert.greedy.measure == 6
+        assert cert.exact.measure == 6
+        assert cert.space.n == 9
         assert cert.legacy is not None
         names = [v.name for v in cert.verdicts]
         assert "greedy_measure_le_exact_measure" in names
@@ -277,12 +293,12 @@ class TestBuildCertificate:
 
     def test_empty_space_certificate(self):
         cert = cc.build_certificate(cc.build_space([], []), cc.ScaleParams(r=1, k=2))
-        assert cert.n == 0
+        assert cert.space.n == 0
         assert cert.observed.medium_edges == 0
         assert not cert.bounds.precondition_ok
         assert cert.bounds.reason == "alpha is not separated from zero"
-        assert cert.greedy_measure == 0
-        assert cert.exact_measure == 0
+        assert cert.greedy.measure == 0
+        assert cert.exact.measure == 0
 
     def test_singleton_meets_unit_bound(self):
         space = cc.build_space(["a"], [["0"]])
@@ -294,16 +310,13 @@ class TestBuildCertificate:
         assert verdicts["exact_measure_ge_psi_times_n"]
 
     def test_exact_search_can_be_skipped(self, tight9, tight9_params):
-        cert = cc.build_certificate(tight9, tight9_params, include_exact=False)
-        assert cert.exact_measure is None
-        assert cert.exact_note == "exact search disabled"
         over_limit = cc.build_certificate(tight9, tight9_params, exact_limit=4)
-        assert over_limit.exact_measure is None
+        assert over_limit.exact is None
         assert "exceeds" in over_limit.exact_note
 
     def test_node_budget_keeps_partial_result(self, tight9, tight9_params):
         cert = cc.build_certificate(tight9, tight9_params, node_budget=3)
-        assert cert.exact_optimal is False
+        assert cert.exact.optimal is False
         assert cert.exact_note is not None
 
     def test_serialization_is_byte_stable(self, tight9, tight9_params):

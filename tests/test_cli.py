@@ -259,6 +259,22 @@ class TestMalformedInput:
                 ["generate", "--config"],
                 '{"kind": "planted", "k": 1, "blockSizes": [3], "r": "1", "seed": 1.5}',
             ),
+            (
+                ["analyze", "--r", "1", "--k", "1", "--input"],
+                '{"labels": [true, false], "dist": [["0", "1"], ["1", "0"]]}',
+            ),
+            (
+                ["analyze", "--r", "1", "--k", "1", "--input"],
+                '{"labels": [["a"], {}], "dist": [["0", "1"], ["1", "0"]]}',
+            ),
+            (
+                ["analyze", "--r", "1", "--k", "1", "--input"],
+                '{"labels": [1, 2], "dist": [["0", "1"], ["1", "0"]]}',
+            ),
+            (
+                ["analyze", "--r", "1", "--k", "1", "--input"],
+                '{"labels": [null, "b"], "dist": [["0", "1"], ["1", "0"]]}',
+            ),
         ],
         ids=[
             "config-not-object",
@@ -277,6 +293,10 @@ class TestMalformedInput:
             "config-k-float",
             "config-block-size-float",
             "config-seed-float",
+            "labels-booleans",
+            "labels-list-and-object",
+            "labels-integers",
+            "labels-null",
         ],
     )
     def test_exit_1_with_one_error_line(self, capsys, tmp_path, argv, content):

@@ -140,6 +140,36 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             verify.SuiteConfig(seed=1, trials=1, k_values=k_values)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 1.5),
+            ("seed", True),
+            ("trials", True),
+            ("trials", 2.5),
+            ("max_n", 6.0),
+            ("exact_limit", 14.5),
+            ("node_budget", False),
+            ("node_budget", 10.0),
+        ],
+    )
+    def test_counts_must_be_true_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            verify.SuiteConfig(**{"seed": 1, "trials": 1, field: value})
+
+    def test_node_budget_turns_exact_checks_into_notes(self):
+        budget = verify.run_suite(verify.SuiteConfig(seed=3, trials=30, max_n=8, node_budget=1))
+        full = verify.run_suite(verify.SuiteConfig(seed=3, trials=30, max_n=8))
+        exact_checks = {"P1", "T1"}
+        for limited, unlimited in zip(budget.tallies, full.tallies):
+            if limited.prop_id in exact_checks:
+                assert limited.applicable == 0 and unlimited.applicable > 0
+            else:
+                assert limited == unlimited
+        assert len(budget.notes) == 20 and not full.notes
+        assert all("node budget exhausted" in note for note in budget.notes)
+        assert budget.failure_count == 0
+
     def test_report_serializes(self):
         report = verify.run_suite(verify.SuiteConfig(seed=5, trials=9, max_n=6))
         obj = report.to_obj()
@@ -177,7 +207,7 @@ class TestExactSearchRefusal:
         ).applicable
         space, params = self._planted10()
         assert not verify.check_proposition(space, params, "T1", exact_limit=8).applicable
-        assert bounds.build_certificate(space, params, exact_limit=8).exact_measure is None
+        assert bounds.build_certificate(space, params, exact_limit=8).exact is None
 
 
 class TestFailureRoundTrip:

@@ -114,10 +114,10 @@ class BoundEvaluation:
         the gates and the verdicts never need it."""
         if self.penalty is None:
             return None
-        ctx = _decimal_context()
         k = self.inputs.k
-        value = Decimal(1) - (2 * k + 1) * _sqrt(self.inputs.delta, ctx) - _dec(self.penalty, ctx)
-        return float(value)
+        with decimal.localcontext(_decimal_context()) as ctx:
+            root = (2 * k + 1) * _sqrt(self.inputs.delta, ctx)
+            return float(Decimal(1) - root - _dec(self.penalty, ctx))
 
     @property
     def vacuous(self) -> bool:
@@ -202,11 +202,10 @@ def legacy_bound(beta, delta, k: int) -> float:
     if beta < 0 or delta < 0:
         raise ValueError("beta and delta must be non-negative")
     _positive_order(k)
-    ctx = _decimal_context()
-    e = ctx.exp(Decimal(1))
-    coeff = k * (e + 1) + 1
-    value = Decimal(1) - (2 * k + 1) * _sqrt(delta, ctx) - coeff * _nth_root(beta, k + 1, ctx)
-    return float(value)
+    with decimal.localcontext(_decimal_context()) as ctx:
+        coeff = k * (ctx.exp(Decimal(1)) + 1) + 1
+        value = Decimal(1) - (2 * k + 1) * _sqrt(delta, ctx) - coeff * _nth_root(beta, k + 1, ctx)
+        return float(value)
 
 
 def measure_meets_psi(measure: int, n: int, inputs: BoundInputs) -> bool | None:

@@ -272,6 +272,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "exact_limit", 0) < 0:
+            raise ValueError(f"--exact-limit must be non-negative, got {args.exact_limit}")
         return _COMMANDS[args.command](args)
     except (ValueError, clustering.SearchLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

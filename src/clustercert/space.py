@@ -4,6 +4,8 @@ Distances are stored as `fractions.Fraction`, so every threshold comparison
 (short/medium/long edge classification, cluster diameters, separation) is
 decided exactly. Decimal text is the canonical lossless input form; binary
 floats are converted bit-exactly, never rounded through a repr round trip.
+Each distinct token is parsed once. Thresholds bisect into the sorted
+distinct distances and compare int ranks; ``dist`` stays the Fraction table.
 
 A space carries the uniform counting measure: the measure of a point subset
 is its cardinality. The triangle inequality is *not* required ("semimetric");
@@ -13,6 +15,7 @@ that are supposed to be genuine metrics.
 from __future__ import annotations
 
 import decimal
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -171,16 +174,15 @@ class FiniteSemimetricSpace:
         ``within(2r)``, separated pairs ``~within(r, strict=True)`` and the
         greedy neighborhood ``within(r, strict=True)``.
 
-        Memoized on the instance per (d, strict): each threshold costs n^2
-        exact comparisons once, and the rows go away with the space.
+        Memoized on the instance per (d, strict): each threshold costs one
+        bisection and n^2 rank comparisons once; rows go away with the space.
         """
         d = as_fraction(d)
         memo = self._within_memo
         if (d, strict) not in memo:
-            reached = d.__gt__ if strict else d.__ge__
-            memo[d, strict] = tuple(
-                _mask(q for q, x in enumerate(row) if reached(x)) for row in self.dist
-            )
+            values, ranks = self._ranks
+            cut = (bisect_left if strict else bisect_right)(values, d)
+            memo[d, strict] = tuple(_mask(q for q, x in enumerate(row) if x < cut) for row in ranks)
         return memo[d, strict]
 
     @cached_property
@@ -188,12 +190,23 @@ class FiniteSemimetricSpace:
         return {}
 
     @cached_property
+    def _ranks(self) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
+        # Keyed by identity and integer ratio, never by Fraction hash: a parsed
+        # table shares one Fraction per token. Sorted on floor(q * 2^64) first.
+        cells = {id(q): q for row in self.dist for q in row}
+        distinct = {q.as_integer_ratio(): q for q in cells.values()}.values()
+        values = sorted(distinct, key=lambda q: ((q.numerator << 64) // q.denominator, q))
+        place = {q.as_integer_ratio(): i for i, q in enumerate(values)}
+        rank = {key: place[q.as_integer_ratio()] for key, q in cells.items()}
+        return tuple(values), tuple(tuple(map(rank.__getitem__, map(id, row))) for row in self.dist)
+
+    @cached_property
     def _field_hash(self) -> int:
-        return hash((self.labels, self.dist))
+        return hash((self.labels, *self._ranks))
 
     def __hash__(self) -> int:
-        # Memo lookups keyed by a space hash it each time; hashing n^2
-        # Fractions once per instance keeps those lookups cheap.
+        # Memo lookups keyed by a space hash it each time; hashing the ranks
+        # once per instance keeps those lookups cheap.
         return self._field_hash
 
     def __getstate__(self) -> dict:
@@ -246,6 +259,7 @@ def build_space(
         seen.add(label)
     if len(matrix) != n:
         raise SpaceFormatError(f"expected {n} matrix rows, got {len(matrix)}")
+    tokens: dict[str, Fraction] = {}  # each distinct string cell is parsed and checked once
     rows: list[tuple[Fraction, ...]] = []
     for i, row in enumerate(matrix):
         entries = list(row)
@@ -253,19 +267,23 @@ def build_space(
             raise SpaceFormatError(f"ragged matrix: row {i} has {len(entries)} entries, expected {n}")
         parsed = []
         for j, value in enumerate(entries):
-            try:
-                q = as_fraction(value)
-            except (ValueError, TypeError) as exc:
-                raise SpaceFormatError(f"bad distance at ({i},{j}): {exc}") from exc
-            if q < 0:
-                raise SpaceFormatError(f"negative entry at ({i},{j}): {format_rational(q)}")
+            q = tokens.get(value) if isinstance(value, str) else None
+            if q is None:
+                try:
+                    q = as_fraction(value)
+                except (ValueError, TypeError) as exc:
+                    raise SpaceFormatError(f"bad distance at ({i},{j}): {exc}") from exc
+                if q < 0:
+                    raise SpaceFormatError(f"negative entry at ({i},{j}): {format_rational(q)}")
+                if isinstance(value, str):
+                    tokens[value] = q
             parsed.append(q)
         rows.append(tuple(parsed))
     for i in range(n):
         if rows[i][i] != 0:
             raise SpaceFormatError(f"nonzero diagonal at ({i},{i}): {format_rational(rows[i][i])}")
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            if rows[i][j] is not rows[j][i] and rows[i][j] != rows[j][i]:
                 raise SpaceFormatError(f"asymmetric at ({i},{j})")
     if require_metric:
         for i in range(n):

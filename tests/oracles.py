@@ -49,6 +49,13 @@ def anticliques(space: FiniteSemimetricSpace, r, s: int) -> int:
     )
 
 
+def within(space: FiniteSemimetricSpace, d, strict: bool = False) -> tuple[int, ...]:
+    """Reference threshold rows: each cell compared as a Fraction with d."""
+    d = Fraction(d)
+    reached = d.__gt__ if strict else d.__ge__
+    return tuple(sum(1 << q for q, x in enumerate(row) if reached(x)) for row in space.dist)
+
+
 def elementary_symmetric(values, s: int) -> int:
     total = 0
     for sub in combinations(range(len(values)), s):

@@ -1,3 +1,4 @@
+import decimal
 from fractions import Fraction
 from math import factorial
 
@@ -191,6 +192,17 @@ class TestLegacyBound:
                         compared += 1
                         assert result.value >= cc.legacy_bound(beta, delta, k) - 1e-12
         assert compared > 100
+
+
+class TestDecimalContext:
+    def test_caller_precision_does_not_reach_the_bounds(self):
+        inputs = cc.BoundInputs(alpha=Fraction(1, 2), beta=TENTH4, delta=TENTH4, k=2)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 3
+            psi = cc.psi_bound(inputs).value
+            legacy = cc.legacy_bound(TENTH4, TENTH4, 2)
+        assert psi == 0.948398075383689
+        assert legacy == 0.558409403359856
 
 
 class TestMeasureMeetsPsi:

@@ -306,6 +306,18 @@ class TestMalformedInput:
         assert code == 1 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "exact", "verify"])
+    def test_negative_exact_limit_is_an_input_error(self, capsys, s3_file, command):
+        argv = ["--r", "1", "--k", "1", "--input", str(s3_file)] if command != "verify" else []
+        code, out, err = _run(capsys, command, *argv, "--exact-limit", "-1")
+        assert code == 1 and not out
+        assert err == "error: --exact-limit must be non-negative, got -1\n"
+
+    def test_zero_exact_limit_stays_valid(self, capsys, s3_file):
+        argv = ["analyze", "--r", "1", "--k", "1", "--input", str(s3_file), "--exact-limit", "0"]
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0 and json.loads(out)["exact"]["measure"] is None
+
     def test_string_n_is_named_as_the_fault(self, capsys, tmp_path):
         path = tmp_path / "input.json"
         content = '{"n": "2", "labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}'

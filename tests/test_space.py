@@ -159,6 +159,73 @@ class TestWithin:
         assert ref() is None
 
 
+def _thresholds(space):
+    """Each distance, each midpoint of neighbours, below 0, 0 and above the maximum."""
+    values = sorted({x for row in space.dist for x in row})
+    between = [(a + b) / 2 for a, b in zip(values, values[1:])]
+    return values + between + [Fraction(-1, 2), Fraction(0), max(values, default=0) + 1]
+
+
+class TestRankLayer:
+    @given(space=oracles.semimetric_spaces())
+    def test_within_matches_the_fraction_reference(self, space):
+        parsed = cc.load_space(cc.dump_space(space))
+        # Fresh Fractions per cell: equal values in distinct objects.
+        unshared = cc.build_space(
+            space.labels, [[Fraction(str(x)) for x in row] for row in space.dist]
+        )
+        assert hash(parsed) == hash(space) == hash(unshared)
+        for d in _thresholds(space):
+            for strict in (False, True):
+                expected = oracles.within(space, d, strict)
+                for twin in (space, parsed, unshared):
+                    assert twin.within(d, strict=strict) == expected
+
+    @given(space=oracles.semimetric_spaces(), d=st.sampled_from(oracles.PALETTE))
+    def test_pickle_keeps_hash_and_within(self, space, d):
+        expected = space.within(d)
+        clone = pickle.loads(pickle.dumps(space))
+        assert clone == space and hash(clone) == hash(space)
+        assert clone.within(d) == expected
+
+    def test_equal_tokens_share_one_rank(self):
+        space = cc.load_space("3\na b c\n0 0.5 1/2\n1/2 0 0.50\n0.5 0.50 0\n")
+        assert space.dist[0][1] is space.dist[2][0]  # one Fraction per distinct token
+        values, ranks = space._ranks
+        assert values == (0, Fraction(1, 2))
+        assert {ranks[p][q] for p in range(3) for q in range(3) if p != q} == {1}
+        assert space.within("1/2", strict=True) == (0b001, 0b010, 0b100)
+        assert space.within("0.5") == (0b111, 0b111, 0b111)
+        built = cc.build_space(space.labels, [[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]])
+        assert hash(space) == hash(built) and space == built
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "3\na b c\n0 x 1\nx 0 x\n1 x 0\n",
+                "bad distance at (0,1): not a rational number: 'x'",
+            ),
+            ("3\na b c\n0 1 2\n1 0 -1/2\n2 -0.5 -1/2\n", "negative entry at (1,2): -0.5"),
+            (
+                "3\na b c\n0 1 2\n1 0 2\n2 2 1e\n",
+                "bad distance at (2,2): not a rational number: '1e'",
+            ),
+        ],
+        ids=["bad-token-repeated", "negative-token-repeated", "bad-token-last"],
+    )
+    def test_first_bad_cell_is_named(self, text, message):
+        with pytest.raises(SpaceFormatError) as info:
+            cc.load_space(text)
+        assert str(info.value) == f"distance table: {message}"
+
+    def test_first_bad_json_string_cell_is_named(self):
+        dist = [["0", "-2", "1"], ["-2", "0", "-2"], ["1", "-2", "0"]]
+        obj = {"labels": ["a", "b", "c"], "dist": dist}
+        with pytest.raises(SpaceFormatError, match=r"^negative entry at \(0,1\): -2$"):
+            cc.space_from_obj(obj)
+
+
 class TestHash:
     def test_equal_spaces_hash_equal(self, s3):
         twin = cc.build_space(S3_LABELS, S3_MATRIX)

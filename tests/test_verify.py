@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -258,6 +259,27 @@ class TestFailureRoundTrip:
         assert verify.replay_failure(record) == original
         assert record.to_obj()["tight"] == {"k": 1, "m": 2, "m0": 2, "r": "1"}
         assert "tight" not in dataclasses.replace(record, tight=None).to_obj()
+
+    def test_suite_failure_reaches_the_report_and_replays(self, monkeypatch):
+        # P4 with its verdict inverted fails wherever P4 passes, keeping P4's
+        # lhs and rhs. The suite counts them on generated spaces and the
+        # replay on the space parsed back from the report.
+        check_p4 = verify._CHECKS["P4"]
+
+        def inverted(space, params, **kwargs):
+            result = check_p4(space, params, **kwargs)
+            return dataclasses.replace(result, passed=not result.passed, note="inverted")
+
+        monkeypatch.setitem(verify._CHECKS, "P4", inverted)
+        report = verify.run_suite(verify.SuiteConfig(seed=3, trials=6, max_n=6))
+        obj = json.loads(cc.write_report(report))
+        assert obj["failureCount"] == len(obj["failures"]) == obj["tallies"]["P4"]["failed"] == 6
+        for record, entry in zip(report.failures, obj["failures"]):
+            assert entry == record.to_obj()
+            assert (entry["prop"], entry["note"]) == ("P4", "inverted")
+            replayed = verify.replay_failure(record)
+            assert replayed.passed is False
+            assert (str(replayed.lhs), str(replayed.rhs)) == (entry["lhs"], entry["rhs"])
 
     def test_report_keeps_the_generator_mix(self):
         report = verify.run_suite(verify.SuiteConfig(seed=1, trials=3, max_n=5))

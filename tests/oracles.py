@@ -12,8 +12,9 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
+from clustercert.clustering import ClusterStructure, ExactSearchResult
 from clustercert.generators import random_metric_instance
-from clustercert.space import FiniteSemimetricSpace, build_space
+from clustercert.space import FiniteSemimetricSpace, ScaleParams, build_space
 
 PALETTE = [
     Fraction(0),
@@ -117,6 +118,56 @@ def structure_measure(space: FiniteSemimetricSpace, k: int, r) -> int:
 
     rec(0, 0)
     return best
+
+
+def exact_structure(
+    space: FiniteSemimetricSpace, params: ScaleParams, node_budget: int | None = None
+) -> ExactSearchResult:
+    """Reference for ``clustering.exact_structure``: the same assignment
+    order, symmetry breaking and strict-improvement rule, pruned only by
+    measure + unassigned points. So it finds the same witness, and it
+    explores every node that a search with a stronger bound explores."""
+    n = space.n
+    k = params.k
+    r = params.r
+    share = [[space.dist[p][q] <= 2 * r for q in range(n)] for p in range(n)]
+    close = [[space.dist[p][q] < r for q in range(n)] for p in range(n)]
+    clusters: list[list[int]] = [[] for _ in range(k)]
+    best_measure = -1
+    best: tuple[frozenset, ...] = (frozenset(),) * k
+    nodes = 0
+
+    class Exhausted(Exception):
+        pass
+
+    def rec(p: int, opened: int, measure: int) -> None:
+        nonlocal best_measure, best, nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise Exhausted
+        if p == n:
+            if measure > best_measure:
+                best_measure = measure
+                best = tuple(frozenset(c) for c in clusters)
+            return
+        if measure + (n - p) <= best_measure:
+            return
+        for c in range(min(opened + 1, k)):
+            if not all(share[p][q] for q in clusters[c]):
+                continue
+            if any(close[p][q] for d in range(k) if d != c for q in clusters[d]):
+                continue
+            clusters[c].append(p)
+            rec(p + 1, max(opened, c + 1), measure + 1)
+            clusters[c].pop()
+        rec(p + 1, opened, measure)
+
+    optimal = True
+    try:
+        rec(0, 0, 0)
+    except Exhausted:
+        optimal = False
+    return ExactSearchResult(ClusterStructure(best), optimal, nodes)
 
 
 def is_valid_structure(space: FiniteSemimetricSpace, clusters, r) -> bool:

@@ -62,6 +62,8 @@ class TestEvaluateBounds:
             (Fraction(0), TENTH4, Fraction(0), 2, False, "alpha is not separated from zero"),
             (Fraction(2, 3), Fraction(2, 9), Fraction(0), 2, False, "precondition inequality fails"),
             (Fraction(1, 100), Fraction(0), Fraction(1, 200), 2, True, "is not positive"),
+            # alpha' = 1/8 - 1/2 * 1/4 = 0 exactly: the gate, not a division by zero.
+            (Fraction(1, 8), Fraction(0), Fraction(1, 4), 1, True, "is not positive"),
             (Fraction(1, 2), TENTH4, TENTH4, 2, True, None),
         ],
     )
@@ -210,6 +212,13 @@ class TestMeasureMeetsPsi:
         inputs = cc.BoundInputs(alpha=Fraction(1), beta=Fraction(0), delta=Fraction(0), k=1)
         assert cc.measure_meets_psi(1, 1, inputs) is True  # psi = 1, measure/n = 1
         assert cc.measure_meets_psi(0, 1, inputs) is False
+
+    def test_square_root_tie(self):
+        # psi = 1 - 3 * sqrt(1/36) = 1/2: (2k+1)^2 delta = q^2 = 1/4 at measure/n = 1/2.
+        ev = cc.evaluate_bounds(cc.BoundInputs(alpha=Fraction(1), beta=Fraction(0), delta=Fraction(1, 36), k=1))
+        assert ev.meets(1, 2) is True
+        assert ev.meets(2, 4) is True
+        assert ev.meets(4, 9) is False
 
     def test_none_when_undefined(self):
         bad = cc.BoundInputs(alpha=Fraction(2, 3), beta=Fraction(2, 9), delta=Fraction(0), k=2)

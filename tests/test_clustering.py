@@ -3,12 +3,29 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import clustercert as cc
 from clustercert.clustering import SearchLimitError
 
 import oracles
+from test_golden import INPUTS as GOLDEN_INPUTS, SPACES as GOLDEN_SPACES, TOO_LARGE
+
+
+def _line_space(positions) -> cc.FiniteSemimetricSpace:
+    """Exact line metric: rho(p, q) = |x_p - x_q|."""
+    xs = [Fraction(x) for x in positions]
+    return cc.build_space([f"p{i}" for i in range(len(xs))], [[abs(a - b) for b in xs] for a in xs])
+
+
+def _assert_matches_reference(space, params):
+    """Same witness, measure and optimality as the reference search, in at
+    most its nodes: the stronger bound only drops subtrees it also visits."""
+    result = cc.exact_structure(space, params)
+    reference = oracles.exact_structure(space, params)
+    assert (result.structure, result.optimal) == (reference.structure, reference.optimal)
+    assert result.optimal
+    assert result.nodes_explored <= reference.nodes_explored
 
 
 class TestMaxCluster:
@@ -25,6 +42,12 @@ class TestMaxCluster:
 
     def test_tight_instance_picks_first_block(self, tight9):
         assert cc.max_cluster(tight9, range(9), 2) == {0, 1, 2}
+
+    def test_negative_diameter_keeps_the_lowest_point(self, s3):
+        # Rows of within(d) have no diagonal bit at d < 0. No pair fits, and a
+        # single point has no pair, so every subset yields its lowest point.
+        for subset in ([0, 1, 2], [1, 2], [2]):
+            assert cc.max_cluster(s3, subset, -1) == {min(subset)} == oracles.max_cluster(s3, subset, -1)
 
     @given(
         space=oracles.semimetric_spaces(min_n=1, max_n=7),
@@ -132,6 +155,23 @@ class TestGreedyDecomposition:
             total_medium = cc.medium_edge_count(space, params.r)
             assert (sizes[i] ** 2 >= 2 * total_medium) == (i in decomp.i2)
 
+    def test_thin_kernel_at_equality(self):
+        # Line points 0, 2, -1/2, 5/2 at r = 1: kernel {0, 1}, part {0, 1, 2, 3},
+        # so (k+1)|X| = |Z| = 4 at k = 1, and part 0 is in I1.
+        space = _line_space([0, 2, Fraction(-1, 2), Fraction(5, 2)])
+        decomp = cc.greedy_decomposition(space, cc.ScaleParams(r=Fraction(1), k=1))
+        assert [(len(p.x), len(p.z)) for p in decomp.parts] == [(2, 4)]
+        assert decomp.i1 == (0,)
+
+    def test_large_part_at_equality(self):
+        # Line points 0, 1/2, 3 at r = 1: parts {0, 1} and {2}, and the two
+        # medium pairs give |Z_0|^2 = 4 = 2M, so part 0 is in I2.
+        space = _line_space([0, Fraction(1, 2), 3])
+        decomp = cc.greedy_decomposition(space, cc.ScaleParams(r=Fraction(1), k=2))
+        assert [len(p.z) for p in decomp.parts] == [2, 1]
+        assert cc.medium_edge_count(space, 1) == 2
+        assert decomp.i2 == (0,)
+
     @given(
         space=oracles.semimetric_spaces(),
         r=st.sampled_from(oracles.PALETTE[1:]),
@@ -212,6 +252,28 @@ class TestExactStructure:
         result = cc.exact_structure(tight9, tight9_params, node_budget=3)
         assert not result.optimal
         assert result.measure <= 6
+
+    def test_node_budget_boundary(self, tight9, tight9_params):
+        full = cc.exact_structure(tight9, tight9_params)
+        nodes = full.nodes_explored
+        assert cc.exact_structure(tight9, tight9_params, node_budget=nodes) == full
+        short = cc.exact_structure(tight9, tight9_params, node_budget=nodes - 1)
+        assert not short.optimal
+        assert short.nodes_explored == nodes
+
+    @settings(max_examples=1000)
+    @given(
+        space=st.one_of(oracles.semimetric_spaces(max_n=10), oracles.metric_spaces(max_n=10)),
+        r=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2)]),
+        k=st.integers(1, 3),
+    )
+    def test_matches_reference_search(self, space, r, k):
+        _assert_matches_reference(space, cc.ScaleParams(r=r, k=k))
+
+    @pytest.mark.parametrize("stem, r, k", [case for case in GOLDEN_SPACES if case[0] not in TOO_LARGE])
+    def test_matches_reference_search_on_golden_spaces(self, stem, r, k):
+        space = cc.load_space((GOLDEN_INPUTS / f"{stem}.space").read_text())
+        _assert_matches_reference(space, cc.ScaleParams(r=Fraction(r), k=k))
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_exhaustive_enumeration(self, seed):

@@ -43,13 +43,16 @@ SPACES = [
     ("planted_n100", "1", 2),
 ]
 
+# Above the exact-search limit; analyze records the refusal.
+TOO_LARGE = ("planted_n30", "planted_n100")
+
 
 def _cases() -> dict[str, list[str]]:
     cases = {}
     for stem, r, k in SPACES:
         for cmd in ("analyze", "greedy", "exact"):
-            if cmd == "exact" and stem in ("planted_n30", "planted_n100"):
-                continue  # above the exact-search limit; analyze records the refusal
+            if cmd == "exact" and stem in TOO_LARGE:
+                continue
             argv = [cmd, "--input", str(INPUTS / f"{stem}.space"), "--r", r, "--k", str(k)]
             cases[f"{stem}.{cmd}.json"] = argv
     cases["tight_k2.analyze.txt"] = cases["tight_k2.analyze.json"] + ["--format", "text"]

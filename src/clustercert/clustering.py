@@ -4,7 +4,9 @@ The greedy decomposition repeatedly extracts a maximum-cardinality subset of
 diameter at most 2r (a maximum clique in the threshold graph) together with
 its strict r-neighborhood, until the point set is exhausted. The exact search
 finds a maximum-measure family of k pairwise-separated 2r-clusters by branch
-and bound over point assignments.
+and bound over point assignments. Both bound a clique by the colours of a
+greedy colouring: the maximum clique search for its candidates, the exact
+search for the points each cluster can still take.
 
 All tie-breaking is lexicographic by point index, so both procedures are
 deterministic and reproducible.
@@ -134,23 +136,6 @@ def max_cluster(space: FiniteSemimetricSpace, points: Iterable[int], d) -> froze
         return frozenset()
     # A vertex's own bit is never a candidate when its row is read.
     adj = space.within(d)
-
-    def color_bound(cand: int) -> int:
-        # Greedy proper coloring of the candidate set: clique size <= #colors.
-        classes: list[int] = []
-        m = cand
-        while m:
-            v_bit = m & -m
-            v = v_bit.bit_length() - 1
-            m &= m - 1
-            for i, cls in enumerate(classes):
-                if not (cls & adj[v]):
-                    classes[i] = cls | v_bit
-                    break
-            else:
-                classes.append(v_bit)
-        return len(classes)
-
     best: list[int] = []
 
     def expand(current: list[int], cand: int) -> None:
@@ -161,7 +146,7 @@ def max_cluster(space: FiniteSemimetricSpace, points: Iterable[int], d) -> froze
             return
         if len(current) + cand.bit_count() <= len(best):
             return
-        if len(current) + color_bound(cand) <= len(best):
+        if len(current) + _color_count(cand, adj) <= len(best):
             return
         while cand:
             if len(current) + cand.bit_count() <= len(best):
@@ -172,6 +157,23 @@ def max_cluster(space: FiniteSemimetricSpace, points: Iterable[int], d) -> froze
 
     expand([], full)
     return frozenset(best)
+
+
+def _color_count(cand: int, adj) -> int:
+    """Colours of a greedy proper colouring of ``cand`` in the graph ``adj``,
+    an upper bound on its largest clique. Each class takes the lowest free
+    vertex and drops its neighbours, which gives the classes of first-fit
+    colouring in ascending order. A vertex's own bit is cleared explicitly:
+    rows of ``within(d)`` have no diagonal bit when d < 0."""
+    colors = 0
+    while cand:
+        colors += 1
+        free = cand
+        while free:
+            low = free & -free
+            cand ^= low
+            free &= ~(adj[low.bit_length() - 1] | low)
+    return colors
 
 
 def _greedy_long_matching(
@@ -274,13 +276,19 @@ def exact_structure(
     """Maximum-measure order-k structure by branch and bound.
 
     Points are assigned in ascending index order to one of k clusters or
-    discarded. Feasibility (diameter <= 2r inside a cluster, separation >= r
-    across clusters) is checked incrementally; symmetry is broken by letting a
-    point open cluster c only when clusters below c are already non-empty, so
-    cluster labels are ordered by smallest member. The pruning bound is the
-    current measure plus the number of unassigned points, and only strictly
-    better assignments replace the incumbent, so the witness is the first
-    optimum in lexicographic assignment order.
+    discarded. Each cluster c keeps its room: the unassigned points within 2r
+    of every member of c (diameter) and at least r from every member of the
+    other clusters (separation), so a point may join c exactly when it is in
+    c's room. Symmetry is broken by letting a point open cluster c only when
+    clusters below c are already non-empty, so cluster labels are ordered by
+    smallest member. What c gains from a node on is a clique of the 2r graph
+    inside its room, so at most the colours of a greedy colouring of it, and
+    all clusters together gain at most the union of their rooms. A node is
+    pruned when the measure plus the unassigned points, or plus the smaller
+    of those two gains, cannot beat the incumbent. Only strictly better
+    assignments replace it, so the witness is the first optimum in
+    lexicographic assignment order whatever the bound. ``nodes_explored``
+    counts the assignment prefixes visited, pruned ones included.
 
     If ``node_budget`` is exhausted the best structure found so far is
     returned flagged non-optimal. Instances larger than ``max_points`` are
@@ -300,7 +308,8 @@ def exact_structure(
     best_snapshot: tuple[int, ...] = tuple(cluster_masks)
     nodes = 0
 
-    def rec(p: int, opened: int, measure: int) -> None:
+    def rec(p: int, opened: int, measure: int, room: tuple[int, ...]) -> None:
+        # room[c]: the points >= p that cluster c can still take.
         nonlocal best_measure, best_snapshot, nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
@@ -310,25 +319,27 @@ def exact_structure(
                 best_measure = measure
                 best_snapshot = tuple(cluster_masks)
             return
-        if measure + (n - p) <= best_measure:
+        slack = best_measure - measure
+        if n - p <= slack:
+            return
+        reach = 0
+        for free in room:
+            reach |= free
+        if reach.bit_count() <= slack or sum(_color_count(free, share) for free in room) <= slack:
             return
         bit = 1 << p
-        assigned = 0
-        for members in cluster_masks:
-            assigned |= members
         for c in range(min(opened + 1, k)):
-            members = cluster_masks[c]
-            # Clusters are disjoint, so assigned ^ members is every other cluster.
-            if members & ~share[p] or (assigned ^ members) & close[p]:
-                continue
-            cluster_masks[c] = members | bit
-            rec(p + 1, max(opened, c + 1), measure + 1)
-            cluster_masks[c] = members
-        rec(p + 1, opened, measure)
+            if room[c] & bit:
+                cluster_masks[c] ^= bit
+                rec(p + 1, max(opened, c + 1), measure + 1, tuple(
+                    free & (share[p] if d == c else ~close[p]) & ~bit for d, free in enumerate(room)
+                ))
+                cluster_masks[c] ^= bit
+        rec(p + 1, opened, measure, tuple(free & ~bit for free in room))
 
     optimal = True
     try:
-        rec(0, 0, 0)
+        rec(0, 0, 0, ((1 << n) - 1,) * k)
     except _NodeBudget:
         optimal = False
 

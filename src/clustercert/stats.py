@@ -83,18 +83,18 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
     n = space.n
     if s > n:
         return 0
-    far = [~row for row in space.within(r)]
+    # up[v]: the points above v that are far from v.
+    up = [~row & -(2 << v) for v, row in enumerate(space.within(r))]
 
     def count(cand: int, need: int) -> int:
         if need == 1:
             return cand.bit_count()
         total = 0
-        while cand:
-            if cand.bit_count() < need:
-                break
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            total += count(cand & far[v], need - 1)
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            rest = cand & up[low.bit_length() - 1]
+            total += rest.bit_count() if need == 2 else count(rest, need - 1)
         return total
 
     return count((1 << n) - 1, s)

@@ -261,6 +261,15 @@ class TestExactStructure:
         assert not short.optimal
         assert short.nodes_explored == nodes
 
+    @pytest.mark.parametrize("k, m", [(2, 20), (3, 15)])
+    def test_block_witness_within_a_small_budget(self, k, m):
+        # n = 60, beyond any search pruned by measure + unassigned points alone.
+        space = cc.tight_instance(cc.TightInstanceSpec(k=k, m=m, m0=m, r=Fraction(1)))
+        params = cc.ScaleParams(r=Fraction(1), k=k)
+        result = cc.exact_structure(space, params, max_points=space.n, node_budget=10_000)
+        assert result.optimal
+        assert space.n - result.measure == m
+
     @settings(max_examples=1000)
     @given(
         space=st.one_of(oracles.semimetric_spaces(max_n=10), oracles.metric_spaces(max_n=10)),

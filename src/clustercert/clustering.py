@@ -2,7 +2,7 @@
 
 The greedy decomposition repeatedly extracts a maximum-cardinality subset of
 diameter at most 2r (a maximum clique in the threshold graph) together with
-its strict r-neighborhood, until the point set is exhausted. The exact search
+its closed r-neighborhood, until the point set is exhausted. The exact search
 finds a maximum-measure family of k pairwise-separated 2r-clusters by branch
 and bound over point assignments. Both bound a clique by the colours of a
 greedy colouring: the maximum clique search for its candidates, the exact
@@ -206,14 +206,14 @@ def greedy_decomposition(space: FiniteSemimetricSpace, params: ScaleParams) -> G
     """Run the greedy extraction until the space is exhausted.
 
     Each step takes the maximum 2r-cluster ``x`` of the residual set and its
-    strict r-neighborhood ``z = {p in residual: rho(p, x) < r}`` (which always
+    closed r-neighborhood ``z = {p in residual: rho(p, x) <= r}`` (which always
     contains ``x``). The parts partition the space and the kernel sizes are
     non-increasing. Memoized on the immutable inputs; the result is frozen
     and safe to share.
     """
     r = params.r
     k = params.k
-    near = space.within(r, strict=True)
+    near = space.within(r)
     residual = set(space.points())
     parts: list[DecompositionPart] = []
     while residual:

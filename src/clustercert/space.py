@@ -168,11 +168,11 @@ class FiniteSemimetricSpace:
         Bit q of row p is set iff rho(p, q) <= d, or rho(p, q) < d when
         ``strict`` is set. The rows are symmetric, and the diagonal bit is set
         whenever d >= 0 (d > 0 if strict). Every scale predicate of the
-        library is a mask expression over these rows: short pairs are
-        ``within(r)``, medium pairs ``within(3r) & ~within(r)``, long pairs
-        ``~within(3r)``, far (anticlique) pairs ``~within(r)``, cluster mates
-        ``within(2r)``, separated pairs ``~within(r, strict=True)`` and the
-        greedy neighborhood ``within(r, strict=True)``.
+        library is a mask expression over these rows: short pairs and the
+        greedy neighborhood are ``within(r)``, medium pairs
+        ``within(3r) & ~within(r)``, long pairs ``~within(3r)``, far
+        (anticlique) pairs ``~within(r)``, cluster mates ``within(2r)`` and
+        separated pairs ``~within(r, strict=True)``.
 
         Memoized on the instance per (d, strict): each threshold costs one
         bisection and n^2 rank comparisons once; rows go away with the space.

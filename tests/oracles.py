@@ -230,6 +230,12 @@ def random_semimetric(rng: random.Random, n: int) -> FiniteSemimetricSpace:
     return build_space([f"p{i}" for i in range(n)], dist)
 
 
+def line_space(positions) -> FiniteSemimetricSpace:
+    """Points on a line: rho(p, q) = |x_p - x_q|, a metric by construction."""
+    xs = [Fraction(x) for x in positions]
+    return build_space([f"p{i}" for i in range(len(xs))], [[abs(a - b) for b in xs] for a in xs])
+
+
 @st.composite
 def semimetric_spaces(draw, min_n: int = 0, max_n: int = 7):
     n = draw(st.integers(min_n, max_n))
@@ -242,3 +248,10 @@ def metric_spaces(draw, min_n: int = 0, max_n: int = 8, r=Fraction(1)):
     n = draw(st.integers(min_n, max_n))
     seed = draw(st.integers(0, 2**31))
     return random_metric_instance(n, r, seed)
+
+
+@st.composite
+def line_metric_spaces(draw, min_n: int = 0, max_n: int = 8, span: int = 8):
+    """Integer points of a line: many pairs at exactly 1, 2 and 3, which are
+    r, 2r and 3r at r = 1."""
+    return line_space(draw(st.lists(st.integers(0, span), min_size=min_n, max_size=max_n)))

@@ -201,6 +201,16 @@ class TestVerify:
         assert report["failureCount"] == 0
         assert report["trials"] == 12
 
+    @pytest.mark.parametrize("seed", [229454846, 1696698721, 55323911])
+    def test_seeds_with_pairs_at_exactly_r_pass(self, capsys, seed):
+        # Each failed P4 while the greedy neighborhood was strict (< r).
+        code, out, _ = _run(
+            capsys, "verify", "--seed", str(seed), "--trials", "60", "--max-n", "14",
+            "--exact-limit", "14",
+        )
+        assert code == 0
+        assert json.loads(out)["failureCount"] == 0
+
     def test_reports_are_byte_identical(self, capsys):
         argv = ["verify", "--seed", "11", "--trials", "9", "--max-n", "6"]
         _, out1, _ = _run(capsys, *argv)

@@ -12,12 +12,6 @@ import oracles
 from test_golden import INPUTS as GOLDEN_INPUTS, SPACES as GOLDEN_SPACES, TOO_LARGE
 
 
-def _line_space(positions) -> cc.FiniteSemimetricSpace:
-    """Exact line metric: rho(p, q) = |x_p - x_q|."""
-    xs = [Fraction(x) for x in positions]
-    return cc.build_space([f"p{i}" for i in range(len(xs))], [[abs(a - b) for b in xs] for a in xs])
-
-
 def _assert_matches_reference(space, params):
     """Same witness, measure and optimality as the reference search, in at
     most its nodes: the stronger bound only drops subtrees it also visits."""
@@ -101,11 +95,11 @@ class TestGreedyDecomposition:
             assert part.z == part.x | part.y | part.u
             assert not (part.x & part.y) and not (part.x & part.u) and not (part.y & part.u)
             assert not (part.z & seen)
-            # the kernel is a 2r-cluster and z is exactly its strict
+            # the kernel is a 2r-cluster and z is exactly its closed
             # r-neighborhood within the residual set at this step
             assert cc.subset_diameter(space, part.x) <= 2 * r
             for p in residual:
-                in_z = min(space.rho(p, q) for q in part.x) < r
+                in_z = min(space.rho(p, q) for q in part.x) <= r
                 assert in_z == (p in part.z)
             kernel_sizes.append(len(part.x))
             seen |= part.z
@@ -158,7 +152,7 @@ class TestGreedyDecomposition:
     def test_thin_kernel_at_equality(self):
         # Line points 0, 2, -1/2, 5/2 at r = 1: kernel {0, 1}, part {0, 1, 2, 3},
         # so (k+1)|X| = |Z| = 4 at k = 1, and part 0 is in I1.
-        space = _line_space([0, 2, Fraction(-1, 2), Fraction(5, 2)])
+        space = oracles.line_space([0, 2, Fraction(-1, 2), Fraction(5, 2)])
         decomp = cc.greedy_decomposition(space, cc.ScaleParams(r=Fraction(1), k=1))
         assert [(len(p.x), len(p.z)) for p in decomp.parts] == [(2, 4)]
         assert decomp.i1 == (0,)
@@ -166,7 +160,7 @@ class TestGreedyDecomposition:
     def test_large_part_at_equality(self):
         # Line points 0, 1/2, 3 at r = 1: parts {0, 1} and {2}, and the two
         # medium pairs give |Z_0|^2 = 4 = 2M, so part 0 is in I2.
-        space = _line_space([0, Fraction(1, 2), 3])
+        space = oracles.line_space([0, Fraction(1, 2), 3])
         decomp = cc.greedy_decomposition(space, cc.ScaleParams(r=Fraction(1), k=2))
         assert [len(p.z) for p in decomp.parts] == [2, 1]
         assert cc.medium_edge_count(space, 1) == 2

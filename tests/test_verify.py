@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import clustercert as cc
 from clustercert import bounds, clustering, verify
@@ -101,6 +101,27 @@ class TestCheckProposition:
     def test_unknown_id_rejected(self, s3, s3_params):
         with pytest.raises(ValueError, match="unknown check id"):
             verify.check_proposition(s3, s3_params, "P9")
+
+    def test_p4_with_neighbors_at_exactly_r(self):
+        # Kernel {p0, p1} at distance 2r; p2 and p3 are at exactly r from it,
+        # so they join its part. Were they left out, neither would be far from
+        # the kernel, and P4 would read 0 >= e_3(2, 1, 1)/3! = 1/3.
+        space = oracles.line_space([0, 2, 3, -1])
+        params = cc.ScaleParams(r=Fraction(1), k=2)
+        assert [sorted(p.z) for p in cc.greedy_decomposition(space, params).parts] == [[0, 1, 2, 3]]
+        assert verify.check_proposition(space, params, "P4").passed
+
+    @settings(max_examples=2000)
+    @given(
+        space=st.one_of(oracles.line_metric_spaces(max_n=9), oracles.metric_spaces(max_n=9)),
+        k=st.integers(1, 3),
+    )
+    def test_part_checks_hold_with_distances_at_exactly_r(self, space, k):
+        # P3-P6 read the greedy parts, whose neighborhoods are decided at r.
+        params = cc.ScaleParams(r=Fraction(1), k=k)
+        for prop in ("P3", "P4", "P5", "P6"):
+            result = verify.check_proposition(space, params, prop)
+            assert result.passed is not False, (prop, result)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_all_checks_pass_on_metric_instances(self, seed):

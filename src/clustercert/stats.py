@@ -83,8 +83,7 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
     n = space.n
     if s > n:
         return 0
-    # up[v]: the points above v that are far from v.
-    up = [~row & -(2 << v) for v, row in enumerate(space.within(r))]
+    far = [~row for row in space.within(r)]
 
     def count(cand: int, need: int) -> int:
         if need == 1:
@@ -93,7 +92,8 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
         while cand.bit_count() >= need:
             low = cand & -cand
             cand ^= low
-            rest = cand & up[low.bit_length() - 1]
+            # cand now holds only points above the one just chosen.
+            rest = cand & far[low.bit_length() - 1]
             total += rest.bit_count() if need == 2 else count(rest, need - 1)
         return total
 

@@ -120,9 +120,7 @@ def structure_measure(space: FiniteSemimetricSpace, k: int, r) -> int:
     return best
 
 
-def exact_structure(
-    space: FiniteSemimetricSpace, params: ScaleParams, node_budget: int | None = None
-) -> ExactSearchResult:
+def exact_structure(space: FiniteSemimetricSpace, params: ScaleParams) -> ExactSearchResult:
     """Reference for ``clustering.exact_structure``: the same assignment
     order, symmetry breaking and strict-improvement rule, pruned only by
     measure + unassigned points. So it finds the same witness, and it
@@ -137,14 +135,9 @@ def exact_structure(
     best: tuple[frozenset, ...] = (frozenset(),) * k
     nodes = 0
 
-    class Exhausted(Exception):
-        pass
-
     def rec(p: int, opened: int, measure: int) -> None:
         nonlocal best_measure, best, nodes
         nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise Exhausted
         if p == n:
             if measure > best_measure:
                 best_measure = measure
@@ -162,12 +155,8 @@ def exact_structure(
             clusters[c].pop()
         rec(p + 1, opened, measure)
 
-    optimal = True
-    try:
-        rec(0, 0, 0)
-    except Exhausted:
-        optimal = False
-    return ExactSearchResult(ClusterStructure(best), optimal, nodes)
+    rec(0, 0, 0)
+    return ExactSearchResult(ClusterStructure(best), True, nodes)
 
 
 def is_valid_structure(space: FiniteSemimetricSpace, clusters, r) -> bool:

@@ -62,9 +62,9 @@ class TestEvaluateBounds:
             (Fraction(0), TENTH4, Fraction(0), 2, False, "alpha is not separated from zero"),
             (Fraction(2, 3), Fraction(2, 9), Fraction(0), 2, False, "precondition inequality fails"),
             (Fraction(1, 100), Fraction(0), Fraction(1, 200), 2, True, "is not positive"),
+            (Fraction(1, 2), TENTH4, TENTH4, 2, True, None),
             # alpha' = 1/8 - 1/2 * 1/4 = 0 exactly: the gate, not a division by zero.
             (Fraction(1, 8), Fraction(0), Fraction(1, 4), 1, True, "is not positive"),
-            (Fraction(1, 2), TENTH4, TENTH4, 2, True, None),
         ],
     )
     def test_first_failing_gate(self, alpha, beta, delta, k, precondition_ok, reason):

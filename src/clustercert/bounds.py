@@ -13,7 +13,7 @@ import decimal
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import factorial
 
 from . import clustering, stats
@@ -226,25 +226,100 @@ class Verdict:
 class BoundCertificate:
     """Full analysis record for one space at one scale.
 
-    Holds the records :func:`build_certificate` computes: the observed
-    parameters, the improved-bound record ``bounds``, the legacy bound, the
-    greedy structure and exact search result with their validations, and a
-    ledger of named inequality outcomes. ``exact`` is None when the search is
-    refused; the refusal, or an exhausted node budget, is recorded in
-    ``exact_note`` rather than aborting the certificate.
+    Every part is derived from (space, params) and computed on first read,
+    then kept: the observed parameters, the improved-bound record ``bounds``,
+    the legacy bound, the greedy decomposition and structure, the exact
+    search result, both validations and a ledger of named inequality
+    outcomes. A reader pays only for the parts it reads. ``exact`` is None
+    when ``exact_limit`` refuses the search; the refusal, or an exhausted
+    node budget, is recorded in ``exact_note`` rather than aborting the
+    certificate.
     """
 
     space: FiniteSemimetricSpace
     params: ScaleParams
-    observed: stats.ObservedParams
-    bounds: BoundEvaluation
-    legacy: float
-    greedy: clustering.ClusterStructure
-    greedy_validation: clustering.StructureValidation
-    exact: clustering.ExactSearchResult | None
-    exact_validation: clustering.StructureValidation | None
-    exact_note: str | None
-    verdicts: tuple[Verdict, ...]
+    exact_limit: int
+    node_budget: int | None
+
+    @cached_property
+    def observed(self) -> stats.ObservedParams:
+        return stats.observed_parameters(self.space, self.params)
+
+    @cached_property
+    def bounds(self) -> BoundEvaluation:
+        """The bound gates at the observed densities."""
+        obs = self.observed
+        inputs = BoundInputs(obs.alpha_hat, obs.beta_hat, obs.delta_hat, self.params.k)
+        return evaluate_bounds(inputs)
+
+    @cached_property
+    def legacy(self) -> float:
+        return legacy_bound(self.observed.beta_hat, self.observed.delta_hat, self.params.k)
+
+    @cached_property
+    def decomposition(self) -> clustering.GreedyDecomposition:
+        return clustering.greedy_decomposition(self.space, self.params)
+
+    @cached_property
+    def greedy(self) -> clustering.ClusterStructure:
+        return clustering.greedy_structure(self.decomposition, self.params.k)
+
+    @cached_property
+    def greedy_validation(self) -> clustering.StructureValidation:
+        return clustering.validate_structure(self.space, self.greedy, self.params)
+
+    @cached_property
+    def exact(self) -> clustering.ExactSearchResult | None:
+        if clustering._refusal(self.space.n, self.exact_limit) is not None:
+            return None
+        return clustering.exact_structure(
+            self.space, self.params, max_points=self.exact_limit, node_budget=self.node_budget
+        )
+
+    @cached_property
+    def exact_validation(self) -> clustering.StructureValidation | None:
+        if self.exact is None:
+            return None
+        return clustering.validate_structure(self.space, self.exact.structure, self.params)
+
+    @cached_property
+    def exact_note(self) -> str | None:
+        """Why ``exact`` is missing or not optimal, or None."""
+        if self.exact is None:
+            return clustering._refusal(self.space.n, self.exact_limit)
+        return None if self.exact.optimal else "node budget exhausted; best structure found so far"
+
+    @cached_property
+    def verdicts(self) -> tuple[Verdict, ...]:
+        n = self.space.n
+        greedy, exact, ev = self.greedy, self.exact, self.bounds
+        verdicts = [
+            Verdict(
+                name="greedy_structure_valid",
+                holds=self.greedy_validation.ok,
+                detail=f"{len(self.greedy_validation.violations)} violation(s)",
+            )
+        ]
+        measures = {"greedy": greedy.measure}
+        if exact is not None:
+            measures["exact"] = exact.measure
+            verdicts.append(
+                Verdict(
+                    name="greedy_measure_le_exact_measure",
+                    holds=greedy.measure <= exact.measure,
+                    detail=f"{greedy.measure} <= {exact.measure}",
+                )
+            )
+        if ev.applicable:  # never at n = 0, where alpha = 0
+            for name, measure in measures.items():
+                verdicts.append(
+                    Verdict(
+                        name=f"{name}_measure_ge_psi_times_n",
+                        holds=ev.meets(measure, n),
+                        detail=f"measure {measure}, psi*n ~ {ev.value * n:.6g}",
+                    )
+                )
+        return tuple(verdicts)
 
     def _structure_obj(self, structure, validation) -> dict:
         return {
@@ -292,11 +367,9 @@ class BoundCertificate:
         }
 
 
-def _observed_bounds(space: FiniteSemimetricSpace, params: ScaleParams) -> BoundEvaluation:
-    """The bound gates at the observed densities of ``space`` at scale (r, k):
-    the one record that the certificate and the verify checks read."""
-    obs = stats.observed_parameters(space, params)
-    return evaluate_bounds(BoundInputs(obs.alpha_hat, obs.beta_hat, obs.delta_hat, params.k))
+# Keyed on the record's fields in one order, so that every spelling of a
+# build_certificate call shares one record.
+_record = lru_cache(maxsize=512)(BoundCertificate)
 
 
 def build_certificate(
@@ -306,61 +379,11 @@ def build_certificate(
     exact_limit: int = clustering.DEFAULT_EXACT_LIMIT,
     node_budget: int | None = None,
 ) -> BoundCertificate:
-    """Compose the observed parameters, greedy decomposition, exact search
-    (unless ``exact_limit`` refuses it), and both bounds into one certificate."""
-    n = space.n
-    observed = stats.observed_parameters(space, params)
-    ev = _observed_bounds(space, params)
-    legacy = legacy_bound(ev.inputs.beta, ev.inputs.delta, params.k)
+    """The analysis record of ``space`` at scale ``params``: observed
+    parameters, greedy decomposition, exact search (unless ``exact_limit``
+    refuses it) and both bounds, each computed on first read.
 
-    greedy = clustering.greedy_structure(clustering.greedy_decomposition(space, params), params.k)
-    greedy_validation = clustering.validate_structure(space, greedy, params)
-
-    verdicts = [
-        Verdict(
-            name="greedy_structure_valid",
-            holds=greedy_validation.ok,
-            detail=f"{len(greedy_validation.violations)} violation(s)",
-        )
-    ]
-    measures = {"greedy": greedy.measure}
-    exact = exact_validation = None
-    exact_note = clustering._refusal(n, exact_limit)
-    if exact_note is None:
-        exact = clustering.exact_structure(
-            space, params, max_points=exact_limit, node_budget=node_budget
-        )
-        exact_validation = clustering.validate_structure(space, exact.structure, params)
-        measures["exact"] = exact.measure
-        if not exact.optimal:
-            exact_note = "node budget exhausted; best structure found so far"
-        verdicts.append(
-            Verdict(
-                name="greedy_measure_le_exact_measure",
-                holds=greedy.measure <= exact.measure,
-                detail=f"{greedy.measure} <= {exact.measure}",
-            )
-        )
-    if ev.applicable:  # never at n = 0, where alpha = 0
-        for name, measure in measures.items():
-            verdicts.append(
-                Verdict(
-                    name=f"{name}_measure_ge_psi_times_n",
-                    holds=ev.meets(measure, n),
-                    detail=f"measure {measure}, psi*n ~ {ev.value * n:.6g}",
-                )
-            )
-
-    return BoundCertificate(
-        space=space,
-        params=params,
-        observed=observed,
-        bounds=ev,
-        legacy=legacy,
-        greedy=greedy,
-        greedy_validation=greedy_validation,
-        exact=exact,
-        exact_validation=exact_validation,
-        exact_note=exact_note,
-        verdicts=tuple(verdicts),
-    )
+    Memoized on the immutable inputs, so the certificate and every verify
+    check on one instance share one record and compute each part once.
+    """
+    return _record(space, params, exact_limit, node_budget)

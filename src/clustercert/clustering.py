@@ -201,15 +201,13 @@ def _largest(parts: tuple[DecompositionPart, ...], k: int) -> tuple[int, ...]:
     return tuple(sorted(ranked[:k]))
 
 
-@lru_cache(maxsize=512)
 def greedy_decomposition(space: FiniteSemimetricSpace, params: ScaleParams) -> GreedyDecomposition:
     """Run the greedy extraction until the space is exhausted.
 
     Each step takes the maximum 2r-cluster ``x`` of the residual set and its
     closed r-neighborhood ``z = {p in residual: rho(p, x) <= r}`` (which always
     contains ``x``). The parts partition the space and the kernel sizes are
-    non-increasing. Memoized on the immutable inputs; the result is frozen
-    and safe to share.
+    non-increasing. The result is frozen and safe to share.
     """
     r = params.r
     k = params.k

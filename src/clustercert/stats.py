@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -117,14 +116,9 @@ def elementary_symmetric(values: Sequence[int], s: int) -> int:
     return coeffs[s]
 
 
-@lru_cache(maxsize=512)
 def observed_parameters(space: FiniteSemimetricSpace, params: ScaleParams) -> ObservedParams:
     """Exact counts M, T_k, T_{k+1} and the densities that make the defining
-    inequalities tight. The empty space yields all-zero parameters.
-
-    Memoized: spaces are immutable, so repeated queries (each check in the
-    verification harness needs the same counts) cost one computation.
-    """
+    inequalities tight. The empty space yields all-zero parameters."""
     n = space.n
     k = params.k
     m = medium_edge_count(space, params.r)

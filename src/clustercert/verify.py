@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from . import bounds, clustering, stats
+from . import bounds, stats
 from .clustering import DEFAULT_EXACT_LIMIT
 from .generators import TightInstanceSpec, planted_instance, random_metric_instance, tight_instance
 from .space import FiniteSemimetricSpace, ScaleParams, _is_int, as_fraction, dump_space, load_space
@@ -60,38 +60,25 @@ def _not_applicable(prop_id: str, note: str) -> CheckResult:
     return CheckResult(prop_id, False, None, None, None, note)
 
 
-def _optimum(space, params, exact_limit, node_budget):
-    """(optimal search result, None), or (None, why there is no optimum)."""
-    refusal = clustering._refusal(space.n, exact_limit)
-    if refusal is not None:
-        return None, refusal
-    result = clustering.exact_structure(
-        space, params, max_points=exact_limit, node_budget=node_budget
-    )
-    if not result.optimal:
-        return None, "exact-search node budget exhausted"
-    return result, None
-
-
-def _check_p1(space, params, *, tight, exact_limit, node_budget):
+def _check_p1(cert, tight):
     # Block-witness arithmetic: no medium edges, the exact product count of
     # top-order anticliques, and an optimal-measure gap of exactly one small
     # block. Only decidable when the construction data is known.
+    params = cert.params
     if tight is None:
         return _not_applicable("P1", "requires the block-witness construction data")
     if tight.r != params.r or tight.k != params.k:
         return _not_applicable("P1", "scale parameters do not match the construction")
-    n = space.n
+    n = cert.space.n
     if n != tight.n:
         return _not_applicable("P1", "space size does not match the construction")
-    result, reason = _optimum(space, params, exact_limit, node_budget)
-    if result is None:
-        return _not_applicable("P1", reason)
-    k = params.k
-    obs = stats.observed_parameters(space, params)
+    exact = cert.exact
+    if exact is None or not exact.optimal:
+        return _not_applicable("P1", cert.exact_note)
+    obs = cert.observed
     m_count, t_top = obs.medium_edges, obs.anticliques_k_plus_1
-    t_expected = tight.m0 * tight.m**k
-    gap = n - result.measure
+    t_expected = tight.m0 * tight.m**params.k
+    gap = n - exact.measure
     passed = m_count == 0 and t_top == t_expected and gap == tight.m
     witness = None
     if not passed:
@@ -105,103 +92,98 @@ def _check_p1(space, params, *, tight, exact_limit, node_budget):
     return CheckResult("P1", True, passed, gap, tight.m, witness=witness)
 
 
-def _check_p2(space, params, **_):
+def _check_p2(cert, tight):
     # With diameter at most 3r, the medium-edge count is at least
     # max(n, 2|B|) * |A \ B| / 2 for B a maximum 2r-cluster.
-    n = space.n
+    n = cert.space.n
     everyone = (1 << n) - 1
-    if any(row != everyone for row in space.within(3 * params.r)):
+    if any(row != everyone for row in cert.space.within(3 * cert.params.r)):
         return _not_applicable("P2", "space diameter exceeds 3r")
     # Greedy step 0 is a maximum 2r-cluster of the whole space.
-    parts = clustering.greedy_decomposition(space, params).parts
+    parts = cert.decomposition.parts
     b = parts[0].x if parts else frozenset()
-    lhs = stats.observed_parameters(space, params).medium_edges
+    lhs = cert.observed.medium_edges
     rhs = Fraction(max(n, 2 * len(b)) * (n - len(b)), 2)
     return CheckResult("P2", True, lhs >= rhs, lhs, rhs)
 
 
-def _check_p3(space, params, **_):
+def _check_p3(cert, tight):
     # Parts with thin kernels, (k+1)|X_i| <= |Z_i|, have total size at most
     # (k+1) * beta_hat / alpha_hat * n. Only alpha_hat > 0 is required.
-    ev = bounds._observed_bounds(space, params)
+    ev = cert.bounds
     if ev.lam is None:
         return _not_applicable("P3", ev.reason)
-    decomp = clustering.greedy_decomposition(space, params)
+    decomp = cert.decomposition
     lhs = sum(len(decomp.parts[i].z) for i in decomp.i1)
-    rhs = (params.k + 1) * ev.inputs.beta / ev.inputs.alpha * space.n
+    rhs = (cert.params.k + 1) * ev.inputs.beta / ev.inputs.alpha * cert.space.n
     return CheckResult("P3", True, lhs <= rhs, lhs, rhs)
 
 
-def _check_p4(space, params, **_):
+def _check_p4(cert, tight):
     # The top-order anticlique count dominates the elementary symmetric
     # polynomial of the sorted part sizes, scaled by 1/(k+1)!.
-    k = params.k
-    decomp = clustering.greedy_decomposition(space, params)
-    lhs = stats.observed_parameters(space, params).anticliques_k_plus_1
-    rhs = Fraction(stats.elementary_symmetric(decomp.w, k + 1), factorial(k + 1))
+    k = cert.params.k
+    lhs = cert.observed.anticliques_k_plus_1
+    rhs = Fraction(stats.elementary_symmetric(cert.decomposition.w, k + 1), factorial(k + 1))
     return CheckResult("P4", True, lhs >= rhs, lhs, rhs)
 
 
-def _check_p5(space, params, **_):
+def _check_p5(cert, tight):
     # Under the precondition, the order-k anticlique count exceeds e_k(W) by
     # at most k*lambda_hat*n^k / (2(k-2)!). For k = 1 no pair contraction is
     # possible, so the slack term is zero.
-    k = params.k
-    ev = bounds._observed_bounds(space, params)
+    k = cert.params.k
+    ev = cert.bounds
     if not ev.precondition_ok:
         return _not_applicable("P5", ev.reason)
-    decomp = clustering.greedy_decomposition(space, params)
     slack = Fraction(0)
     if k >= 2:
-        slack = Fraction(k, 2) * ev.lam * space.n**k / factorial(k - 2)
-    lhs = stats.observed_parameters(space, params).anticliques_k
-    rhs = stats.elementary_symmetric(decomp.w, k) + slack
+        slack = Fraction(k, 2) * ev.lam * cert.space.n**k / factorial(k - 2)
+    lhs = cert.observed.anticliques_k
+    rhs = stats.elementary_symmetric(cert.decomposition.w, k) + slack
     return CheckResult("P5", True, lhs <= rhs, lhs, rhs)
 
 
-def _check_p6(space, params, **_):
+def _check_p6(cert, tight):
     # The k largest part sizes sum to at least (1 - (k+1)! beta/alpha') * n.
-    k = params.k
-    ev = bounds._observed_bounds(space, params)
+    k = cert.params.k
+    ev = cert.bounds
     if ev.reason is not None:
         return _not_applicable("P6", ev.reason)
-    decomp = clustering.greedy_decomposition(space, params)
-    lhs = sum(decomp.w[:k])
-    rhs = (1 - Fraction(factorial(k + 1)) * ev.inputs.beta / ev.alpha_prime) * space.n
+    lhs = sum(cert.decomposition.w[:k])
+    rhs = (1 - Fraction(factorial(k + 1)) * ev.inputs.beta / ev.alpha_prime) * cert.space.n
     return CheckResult("P6", True, lhs >= rhs, lhs, rhs)
 
 
-def _check_t1(space, params, *, exact_limit, node_budget, **_):
+def _check_t1(cert, tight):
     # Both the exact optimum and the greedy structure built from the k
     # largest parts have measure at least psi * n. Decided exactly: the
     # square root is eliminated by squaring inside BoundEvaluation.meets.
-    n = space.n
-    k = params.k
-    ev = bounds._observed_bounds(space, params)
+    n = cert.space.n
+    ev = cert.bounds
     if ev.reason is not None:  # always so at n = 0, where alpha = 0
         return _not_applicable("T1", ev.reason)
-    result, reason = _optimum(space, params, exact_limit, node_budget)
-    if result is None:
-        return _not_applicable("T1", reason)
-    decomp = clustering.greedy_decomposition(space, params)
-    greedy = clustering.greedy_structure(decomp, k)
-    passed = ev.meets(greedy.measure, n) and ev.meets(result.measure, n)
+    exact = cert.exact
+    if exact is None or not exact.optimal:
+        return _not_applicable("T1", cert.exact_note)
+    greedy = cert.greedy
+    passed = ev.meets(greedy.measure, n) and ev.meets(exact.measure, n)
     witness = None
     if not passed:
-        witness = {"greedyMeasure": greedy.measure, "exactMeasure": result.measure}
+        witness = {"greedyMeasure": greedy.measure, "exactMeasure": exact.measure}
     return CheckResult(
         "T1",
         True,
         passed,
-        min(greedy.measure, result.measure),
+        min(greedy.measure, exact.measure),
         Fraction(ev.value) * n,
         note="rhs is a high-precision evaluation of psi*n; the verdict is decided exactly",
         witness=witness,
     )
 
 
-# The catalogue, in suite order. Every check takes the same keyword arguments
-# and ignores those it does not need.
+# The catalogue, in suite order. Every check reads the analysis record of its
+# instance and, for P1 only, the block-witness construction data.
 _CHECKS = {
     "P1": _check_p1,
     "P2": _check_p2,
@@ -223,11 +205,13 @@ def check_proposition(
     exact_limit: int = DEFAULT_EXACT_LIMIT,
     node_budget: int | None = None,
 ) -> CheckResult:
-    """Evaluate one catalogued check on a space, exactly."""
+    """Evaluate one catalogued check on a space, exactly, reading the
+    instance's memoized analysis record."""
     check = _CHECKS.get(prop_id)
     if check is None:
         raise ValueError(f"unknown check id {prop_id!r} (expected one of {PROP_IDS})")
-    return check(space, params, tight=tight, exact_limit=exact_limit, node_budget=node_budget)
+    cert = bounds.build_certificate(space, params, exact_limit=exact_limit, node_budget=node_budget)
+    return check(cert, tight)
 
 
 # ---------------------------------------------------------------------------

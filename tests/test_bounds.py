@@ -1,4 +1,6 @@
 import decimal
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -255,6 +257,10 @@ class TestMeasureMeetsPsi:
 
 class TestSingleEvaluation:
     def test_one_bound_evaluation_per_certificate_and_per_t1_check(self, monkeypatch):
+        # The certificate and all seven checks read one memoized record, so
+        # the gates are evaluated once per (space, params), however each
+        # caller spells its arguments.
+        cc.bounds._record.cache_clear()
         calls = []
         evaluate = cc.bounds.evaluate_bounds
 
@@ -266,11 +272,10 @@ class TestSingleEvaluation:
         space = cc.planted_instance(2, [5, 5], 0, 1, seed=3)
         params = cc.ScaleParams(r=1, k=2)
         cert = cc.build_certificate(space, params)
-        assert len(calls) == 1
         names = {v.name for v in cert.verdicts}
         assert {"greedy_measure_ge_psi_times_n", "exact_measure_ge_psi_times_n"} <= names
-        calls.clear()
-        assert cc.check_proposition(space, params, "T1").applicable
+        results = {pid: cc.check_proposition(space, params, pid) for pid in cc.verify.PROP_IDS}
+        assert results["T1"].applicable
         assert len(calls) == 1
 
     def test_psi_is_evaluated_only_where_it_is_read(self, monkeypatch):
@@ -282,6 +287,7 @@ class TestSingleEvaluation:
             return sqrt(q, ctx)
 
         monkeypatch.setattr(cc.bounds, "_sqrt", counted)
+        cc.bounds._record.cache_clear()
         space = cc.planted_instance(2, [5, 5], 0, 1, seed=3)
         params = cc.ScaleParams(r=1, k=2)
         for prop_id, expected in (("P3", 0), ("P5", 0), ("P6", 0), ("T1", 1)):
@@ -291,6 +297,34 @@ class TestSingleEvaluation:
 
 
 class TestBuildCertificate:
+    def test_shared_record_reads_alike_across_threads(self):
+        # Threads that read one memoized record at once may compute a part
+        # twice, but every reader sees the same certificate.
+        space = cc.planted_instance(2, [5, 4], 0, 1, seed=5)
+        params = cc.ScaleParams(r=1, k=2)
+        cc.bounds._record.cache_clear()
+        limit = cc.clustering.DEFAULT_EXACT_LIMIT
+        expected = cc.write_report(cc.bounds.BoundCertificate(space, params, limit, None))
+        cc.bounds._record.cache_clear()
+        reports = []
+        readers = [
+            threading.Thread(
+                target=lambda: reports.append(cc.write_report(cc.build_certificate(space, params)))
+            )
+            for _ in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for reader in readers:
+                reader.start()
+            for reader in readers:
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert reports == [expected] * len(readers)
+
     def test_three_point_certificate(self, s3, s3_params):
         cert = cc.build_certificate(s3, s3_params)
         assert cert.space.n == 3

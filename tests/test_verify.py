@@ -231,6 +231,56 @@ class TestExactSearchRefusal:
         assert not verify.check_proposition(space, params, "T1", exact_limit=8).applicable
         assert bounds.build_certificate(space, params, exact_limit=8).exact is None
 
+    def test_failed_gates_never_enter_the_search(self, monkeypatch, s3, s3_params):
+        # The record computes a part only when a check reads it: on a space
+        # without construction data whose bound gates fail, no check reads
+        # the exact result, so the search never runs.
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_structure called although no check reads it")
+
+        bounds._record.cache_clear()
+        monkeypatch.setattr(clustering, "exact_structure", refuse)
+        results = {pid: verify.check_proposition(s3, s3_params, pid) for pid in verify.PROP_IDS}
+        assert results["T1"].note == "precondition inequality fails"
+        assert not results["P1"].applicable and not results["T1"].applicable
+        assert results["P4"].applicable  # it reads the greedy decomposition
+
+
+class TestGenerateInstance:
+    # Each test replays the generator's draws from the same seed, so it pins
+    # which flavour produced the instance, not only its shape.
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tight_at_max_n_k_plus_one(self, k):
+        space, spec, r = verify._generate_instance("tight", random.Random(k), k, k + 1)
+        assert spec == cc.TightInstanceSpec(k=k, m=1, m0=1, r=r)
+        assert space == cc.tight_instance(spec)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_planted_at_max_n_k(self, k):
+        space, spec, r = verify._generate_instance("planted", random.Random(k), k, k)
+        rng = random.Random(k)
+        assert rng.choice(verify._R_PALETTE) == r and rng.randint(k, k) == k
+        assert verify._random_composition(rng, k, k) == [1] * k
+        assert spec is None
+        assert space == cc.planted_instance(k, [1] * k, 0, r, rng.randrange(2**32))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tight_falls_back_to_metric_at_max_n_k(self, k):
+        space, spec, r = verify._generate_instance("tight", random.Random(k), k, k)
+        rng = random.Random(k)
+        assert rng.choice(verify._R_PALETTE) == r
+        n = rng.randint(1, k)
+        assert spec is None
+        assert space == cc.random_metric_instance(n, r, rng.randrange(2**32))
+
+    def test_single_point_suites_are_accepted(self):
+        report = verify.run_suite(verify.SuiteConfig(seed=2, trials=9, max_n=1))
+        assert report.to_obj()["maxN"] == 1
+        assert report.failure_count == 0
+        assert sum(t.applicable for t in report.tallies) > 0
+        with pytest.raises(ValueError, match="max_n"):
+            verify.SuiteConfig(max_n=0)
+
 
 class TestFailureRoundTrip:
     def test_manufactured_failure_replays(self):
@@ -287,8 +337,8 @@ class TestFailureRoundTrip:
         # replay on the space parsed back from the report.
         check_p4 = verify._CHECKS["P4"]
 
-        def inverted(space, params, **kwargs):
-            result = check_p4(space, params, **kwargs)
+        def inverted(cert, tight):
+            result = check_p4(cert, tight)
             return dataclasses.replace(result, passed=not result.passed, note="inverted")
 
         monkeypatch.setitem(verify._CHECKS, "P4", inverted)

@@ -13,6 +13,24 @@ settings.register_profile(
 )
 settings.load_profile("suite")
 
+
+def _clear_memos():
+    cc.bounds._record.cache_clear()
+    cc.clustering.exact_structure.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def clear_memos():
+    """Start every test with empty analysis memos.
+
+    The memoized records outlive a test, so without this a test could read
+    parts computed by an earlier one and never reach the code it patches.
+    A test that must build the same record twice from scratch calls the
+    returned function in between.
+    """
+    _clear_memos()
+    return _clear_memos
+
 # Three points with distances 0.5, 2, 4: one pair of every edge class at r=1.
 S3_LABELS = ["p0", "p1", "p2"]
 S3_MATRIX = [["0", "0.5", "2"], ["0.5", "0", "4"], ["2", "4", "0"]]

@@ -191,17 +191,22 @@ def test_criterion_6_discretization_sandwich():
     _report("criterion-6 discretization sandwich", True, "50 weighted spaces")
 
 
-def test_criterion_7_determinism():
+def test_criterion_7_determinism(clear_memos):
     """Identical seeds and configs produce byte-identical artifacts."""
     space = cc.tight_instance(cc.TightInstanceSpec(k=2, m=2, m0=3, r=Fraction(1)))
     params = cc.ScaleParams(r=Fraction(1), k=2)
-    cert_bytes = [
-        cc.write_report(cc.build_certificate(space, params)).encode() for _ in range(2)
-    ]
+
+    def fresh(build):
+        # Each build starts from empty memos, so the two artifacts compared
+        # are computed twice, not one memoized object read twice.
+        clear_memos()
+        return cc.write_report(build()).encode()
+
+    cert_bytes = [fresh(lambda: cc.build_certificate(space, params)) for _ in range(2)]
     assert cert_bytes[0] == cert_bytes[1]
 
     config = verify.SuiteConfig(seed=42, trials=25, max_n=8)
-    report_bytes = [cc.write_report(verify.run_suite(config)).encode() for _ in range(2)]
+    report_bytes = [fresh(lambda: verify.run_suite(config)) for _ in range(2)]
     assert report_bytes[0] == report_bytes[1]
 
     planted = [

@@ -260,7 +260,6 @@ class TestSingleEvaluation:
         # The certificate and all seven checks read one memoized record, so
         # the gates are evaluated once per (space, params), however each
         # caller spells its arguments.
-        cc.bounds._record.cache_clear()
         calls = []
         evaluate = cc.bounds.evaluate_bounds
 
@@ -287,7 +286,6 @@ class TestSingleEvaluation:
             return sqrt(q, ctx)
 
         monkeypatch.setattr(cc.bounds, "_sqrt", counted)
-        cc.bounds._record.cache_clear()
         space = cc.planted_instance(2, [5, 5], 0, 1, seed=3)
         params = cc.ScaleParams(r=1, k=2)
         for prop_id, expected in (("P3", 0), ("P5", 0), ("P6", 0), ("T1", 1)):
@@ -297,15 +295,14 @@ class TestSingleEvaluation:
 
 
 class TestBuildCertificate:
-    def test_shared_record_reads_alike_across_threads(self):
+    def test_shared_record_reads_alike_across_threads(self, clear_memos):
         # Threads that read one memoized record at once may compute a part
         # twice, but every reader sees the same certificate.
         space = cc.planted_instance(2, [5, 4], 0, 1, seed=5)
         params = cc.ScaleParams(r=1, k=2)
-        cc.bounds._record.cache_clear()
         limit = cc.clustering.DEFAULT_EXACT_LIMIT
         expected = cc.write_report(cc.bounds.BoundCertificate(space, params, limit, None))
-        cc.bounds._record.cache_clear()
+        clear_memos()
         reports = []
         readers = [
             threading.Thread(
@@ -374,8 +371,9 @@ class TestBuildCertificate:
         assert cert.exact.optimal is False
         assert cert.exact_note is not None
 
-    def test_serialization_is_byte_stable(self, tight9, tight9_params):
+    def test_serialization_is_byte_stable(self, tight9, tight9_params, clear_memos):
         first = cc.write_report(cc.build_certificate(tight9, tight9_params))
+        clear_memos()  # rebuild the record instead of reading the memoized one
         second = cc.write_report(cc.build_certificate(tight9, tight9_params))
         assert first == second
         obj_keys = set(cc.build_certificate(tight9, tight9_params).to_obj())

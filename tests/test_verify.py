@@ -238,7 +238,6 @@ class TestExactSearchRefusal:
         def refuse(*args, **kwargs):
             raise AssertionError("exact_structure called although no check reads it")
 
-        bounds._record.cache_clear()
         monkeypatch.setattr(clustering, "exact_structure", refuse)
         results = {pid: verify.check_proposition(s3, s3_params, pid) for pid in verify.PROP_IDS}
         assert results["T1"].note == "precondition inequality fails"

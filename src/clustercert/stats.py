@@ -70,10 +70,15 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
     """Number of s-point subsets that are pairwise at distance strictly above r.
 
     This is the subset count; the ordered-tuple measure is s! times larger
-    (tuples with repeats are impossible since self-distance 0 <= r). The
-    enumeration backtracks over points in ascending index order and prunes a
-    partial subset as soon as too few candidates remain, so it is exact and
-    deterministic.
+    (tuples with repeats are impossible since self-distance 0 <= r). Far is
+    the complement of near (``within(r)``), so these are the independent
+    sets of the near graph. Such a set is one (maybe empty) set per near
+    component, so T_s = [x^s] of the product of the components' independence
+    polynomials; a near-clique of m points gives the factor 1 + m*x.
+    Components come from a bitset search; each one's sets of every order up
+    to s are counted by a backtrack in ascending index order that prunes a
+    partial subset as soon as too few candidates remain. That backtrack
+    alone counts a one-component space, and any space at s <= 2.
     """
     if not _is_int(s) or s < 0:
         raise ValueError(f"anticlique order must be a non-negative integer, got {s!r}")
@@ -82,7 +87,8 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
     n = space.n
     if s > n:
         return 0
-    far = [~row for row in space.within(r)]
+    near = space.within(r)
+    far = [~row for row in near]
 
     def count(cand: int, need: int) -> int:
         if need == 1:
@@ -96,7 +102,31 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
             total += rest.bit_count() if need == 2 else count(rest, need - 1)
         return total
 
-    return count((1 << n) - 1, s)
+    every = left = (1 << n) - 1
+    if s <= 2:
+        # One pass over the points: no dearer than finding the components.
+        return count(every, s)
+    poly = [1] + [0] * s
+    while left:
+        # Grow the component of the lowest unvisited point, one layer a pass.
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= near[low.bit_length() - 1]
+            frontier = reach & ~comp
+            comp |= frontier
+        if comp == every:
+            return count(comp, s)
+        left &= ~comp
+        factor = [count(comp, i) for i in range(1, min(s, comp.bit_count()) + 1)]
+        # poly *= 1 + sum factor[i-1] x^i; descending j reads old coefficients.
+        for j in range(s, 0, -1):
+            for i, f in enumerate(factor[:j], 1):
+                poly[j] += poly[j - i] * f
+    return poly[s]
 
 
 def elementary_symmetric(values: Sequence[int], s: int) -> int:

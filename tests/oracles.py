@@ -13,8 +13,13 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from clustercert.clustering import ClusterStructure, ExactSearchResult
-from clustercert.generators import random_metric_instance
-from clustercert.space import FiniteSemimetricSpace, ScaleParams, build_space
+from clustercert.generators import (
+    TightInstanceSpec,
+    planted_instance,
+    random_metric_instance,
+    tight_instance,
+)
+from clustercert.space import FiniteSemimetricSpace, ScaleParams, _is_int, build_space
 
 PALETTE = [
     Fraction(0),
@@ -48,6 +53,35 @@ def anticliques(space: FiniteSemimetricSpace, r, s: int) -> int:
         for sub in combinations(space.points(), s)
         if all(space.dist[a][b] > r for a, b in combinations(sub, 2))
     )
+
+
+def anticlique_backtrack(space: FiniteSemimetricSpace, r, s: int) -> int:
+    """Reference for ``stats.anticlique_count``: one backtrack over the whole
+    space, which walks every far tuple (across near components too), with no
+    component factorization. Fast enough for the larger cases that subset
+    enumeration cannot reach."""
+    if not _is_int(s) or s < 0:
+        raise ValueError(f"anticlique order must be a non-negative integer, got {s!r}")
+    if s == 0:
+        return 1
+    n = space.n
+    if s > n:
+        return 0
+    far = [~row for row in space.within(r)]
+
+    def count(cand: int, need: int) -> int:
+        if need == 1:
+            return cand.bit_count()
+        total = 0
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            # cand now holds only points above the one just chosen.
+            rest = cand & far[low.bit_length() - 1]
+            total += rest.bit_count() if need == 2 else count(rest, need - 1)
+        return total
+
+    return count((1 << n) - 1, s)
 
 
 def within(space: FiniteSemimetricSpace, d, strict: bool = False) -> tuple[int, ...]:
@@ -244,3 +278,17 @@ def line_metric_spaces(draw, min_n: int = 0, max_n: int = 8, span: int = 8):
     """Integer points of a line: many pairs at exactly 1, 2 and 3, which are
     r, 2r and 3r at r = 1."""
     return line_space(draw(st.lists(st.integers(0, span), min_size=min_n, max_size=max_n)))
+
+
+@st.composite
+def block_spaces(draw):
+    """A planted instance with noise (noise can split a near block apart) or
+    a tight block witness, both built at r = 1."""
+    k = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 5))
+        m0 = draw(st.integers(m, 10))
+        return tight_instance(TightInstanceSpec(k=k, m=m, m0=m0, r=Fraction(1)))
+    sizes = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    noise = Fraction(draw(st.integers(0, 9)), 10)
+    return planted_instance(k, sizes, noise, 1, draw(st.integers(0, 2**31)))

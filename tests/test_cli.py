@@ -328,6 +328,26 @@ class TestMalformedInput:
         code, out, _ = _run(capsys, *argv)
         assert code == 0 and json.loads(out)["exact"]["measure"] is None
 
+    def test_two_line_file_names_the_missing_rows(self, capsys, tmp_path):
+        path = tmp_path / "two.space"
+        path.write_text("2\na b\n", encoding="utf-8")
+        code, out, err = _run(capsys, "analyze", "--r", "1", "--k", "1", "--input", str(path))
+        assert code == 1 and not out
+        assert err == f"error: {path}: expected 2 distance rows, file ends after 0\n"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "eps, message",
+        [("0", "eps must be positive, got 0"), ("1", "eps must lie in (0, 1), got 1")],
+    )
+    def test_discretize_eps_at_the_ends_is_an_input_error(self, capsys, tmp_path, eps, message):
+        path = tmp_path / "weighted.space"
+        path.write_text("2\nx y\n0 1\n1 0\n0.5 0.5\n", encoding="utf-8")
+        code, out, err = _run(capsys, "discretize", "--input", str(path), "--eps", eps)
+        assert code == 1 and not out
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
+
     def test_string_n_is_named_as_the_fault(self, capsys, tmp_path):
         path = tmp_path / "input.json"
         content = '{"n": "2", "labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]]}'

@@ -157,6 +157,10 @@ class TestEpsilonPartition:
         diameter = cc.subset_diameter(w.base, w.base.points())
         assert cc.epsilon_partition(w, 2 * diameter) == ((0, 1, 2),)
 
+    def test_zero_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            cc.epsilon_partition(_weighted([(0,), (1,)], [1, 1]), 0)
+
     @given(data=st.data())
     def test_parts_have_small_diameter_on_metrics(self, data):
         n = data.draw(st.integers(1, 8))
@@ -204,6 +208,12 @@ class TestUniformize:
         w = _weighted([(0,), (10,)], [Fraction(1, 3), 1])
         with pytest.raises(ValueError, match="cap"):
             cc.uniformize(w, ((0,), (1,)), Fraction(1, 1000), max_total_multiplicity=100)
+
+    @pytest.mark.parametrize("eps", [0, 1])
+    def test_eps_outside_open_unit_interval_rejected(self, eps):
+        w = _weighted([(0,), (10,)], [1, 1])
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\)"):
+            cc.uniformize(w, ((0,), (1,)), eps)
 
     def test_partition_must_cover(self):
         w = _weighted([(0,), (10,)], [1, 1])

@@ -313,6 +313,11 @@ class TestFileFormat:
         with pytest.raises(SpaceFormatError, match="line 3"):
             cc.load_space("2\na b\n0\n1 0\n")
 
+    def test_missing_rows_counted(self):
+        with pytest.raises(SpaceFormatError) as info:
+            cc.load_space("2\na b\n")
+        assert str(info.value) == "expected 2 distance rows, file ends after 0"
+
     def test_trailing_content_rejected(self):
         with pytest.raises(SpaceFormatError, match="trailing"):
             cc.load_space("1\na\n0\nextra\n")

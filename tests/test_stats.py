@@ -67,6 +67,48 @@ class TestAnticliqueCount:
     def test_matches_enumeration(self, space, r, s):
         assert cc.anticlique_count(space, r, s) == oracles.anticliques(space, r, s)
 
+    @staticmethod
+    def _assert_matches_backtrack(space, r):
+        for s in range(space.n + 2):
+            assert cc.anticlique_count(space, r, s) == oracles.anticlique_backtrack(space, r, s)
+
+    @given(space=oracles.semimetric_spaces(), r=st.sampled_from(oracles.PALETTE[1:]))
+    def test_matches_backtrack_on_semimetrics(self, space, r):
+        self._assert_matches_backtrack(space, r)
+
+    @given(
+        space=oracles.line_metric_spaces(max_n=12, span=40),
+        r=st.sampled_from(oracles.PALETTE[1:]),
+    )
+    def test_matches_backtrack_on_spread_lines(self, space, r):
+        # A wide span leaves many near components and pairs at exactly r.
+        self._assert_matches_backtrack(space, r)
+
+    @given(space=oracles.block_spaces(), r=st.sampled_from(oracles.PALETTE[1:]))
+    def test_matches_backtrack_on_block_spaces(self, space, r):
+        self._assert_matches_backtrack(space, r)
+
+    def test_matches_backtrack_on_planted_three_by_fifty(self):
+        space = cc.planted_instance(3, [50, 50, 50], Fraction(1, 20), 1, 0)
+        for s in (3, 4):
+            assert cc.anticlique_count(space, 1, s) == oracles.anticlique_backtrack(space, 1, s)
+
+    @given(data=st.data())
+    def test_near_clique_components_give_elementary_symmetric(self, data):
+        # Each near component is a near-clique of m points, with the factor
+        # 1 + m*x: T_s is e_s of the component sizes, P4's e_{k+1}(W).
+        k = data.draw(st.integers(1, 3))
+        if data.draw(st.booleans()):
+            m = data.draw(st.integers(1, 6))
+            m0 = data.draw(st.integers(m, 12))
+            space = cc.tight_instance(cc.TightInstanceSpec(k=k, m=m, m0=m0, r=Fraction(1)))
+            sizes = [m0] + [m] * k
+        else:
+            sizes = data.draw(st.lists(st.integers(1, 12), min_size=k, max_size=k))
+            space = cc.planted_instance(k, sizes, 0, 1, data.draw(st.integers(0, 2**31)))
+        for s in range(1, k + 2):
+            assert cc.anticlique_count(space, 1, s) == cc.elementary_symmetric(sizes, s)
+
     @given(space=oracles.semimetric_spaces(min_n=1), s=st.integers(1, 4))
     def test_antitone_in_scale(self, space, s):
         counts = [cc.anticlique_count(space, r, s) for r in oracles.PALETTE[1:]]
@@ -146,6 +188,18 @@ class TestObservedParameters:
         assert obs.delta_hat == 0
         assert obs.alpha_hat == 1
         assert obs.beta_hat == 0
+
+    @pytest.mark.parametrize("ratio", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_block_witness_beta_identity(self, k, ratio):
+        # The counts half of the abstract's claim A: with gap = m,
+        # (gap/n)^(k+1) * (k+1)! * (m0/m) is exactly beta, as T_{k+1} = m0*m^k.
+        for m in range(1, 16):
+            m0 = ratio * m
+            space = cc.tight_instance(cc.TightInstanceSpec(k=k, m=m, m0=m0, r=Fraction(1)))
+            obs = cc.observed_parameters(space, cc.ScaleParams(r=Fraction(1), k=k))
+            n = m0 + k * m
+            assert obs.beta_hat == Fraction(m, n) ** (k + 1) * factorial(k + 1) * Fraction(m0, m)
 
     def test_empty_space_all_zero(self):
         obs = cc.observed_parameters(cc.build_space([], []), cc.ScaleParams(r=1, k=2))

@@ -78,7 +78,7 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
     Components come from a bitset search; each one's sets of every order up
     to s are counted by a backtrack in ascending index order that prunes a
     partial subset as soon as too few candidates remain. That backtrack
-    alone counts a one-component space, and any space at s <= 2.
+    alone counts a one-component space.
     """
     if not _is_int(s) or s < 0:
         raise ValueError(f"anticlique order must be a non-negative integer, got {s!r}")
@@ -103,9 +103,6 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
         return total
 
     every = left = (1 << n) - 1
-    if s <= 2:
-        # One pass over the points: no dearer than finding the components.
-        return count(every, s)
     poly = [1] + [0] * s
     while left:
         # Grow the component of the lowest unvisited point, one layer a pass.

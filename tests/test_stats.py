@@ -59,22 +59,15 @@ class TestAnticliqueCount:
         with pytest.raises(ValueError):
             cc.anticlique_count(s3, 1, -1)
 
-    @given(
-        space=oracles.semimetric_spaces(),
-        r=st.sampled_from(oracles.PALETTE[1:]),
-        s=st.integers(1, 4),
-    )
-    def test_matches_enumeration(self, space, r, s):
-        assert cc.anticlique_count(space, r, s) == oracles.anticliques(space, r, s)
+    @given(space=oracles.semimetric_spaces(), r=st.sampled_from(oracles.PALETTE[1:]))
+    def test_matches_enumeration(self, space, r):
+        for s in range(space.n + 2):
+            assert cc.anticlique_count(space, r, s) == oracles.anticliques(space, r, s)
 
     @staticmethod
     def _assert_matches_backtrack(space, r):
         for s in range(space.n + 2):
             assert cc.anticlique_count(space, r, s) == oracles.anticlique_backtrack(space, r, s)
-
-    @given(space=oracles.semimetric_spaces(), r=st.sampled_from(oracles.PALETTE[1:]))
-    def test_matches_backtrack_on_semimetrics(self, space, r):
-        self._assert_matches_backtrack(space, r)
 
     @given(
         space=oracles.line_metric_spaces(max_n=12, span=40),

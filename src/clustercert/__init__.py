@@ -51,13 +51,11 @@ from .generators import (
 )
 from .serialize import canonical_json, render_text, write_report
 from .space import (
-    EdgeClass,
     FiniteSemimetricSpace,
     ScaleParams,
     SpaceFormatError,
     as_fraction,
     build_space,
-    classify_edge,
     dump_space,
     format_rational,
     load_space,

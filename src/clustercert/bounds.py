@@ -10,14 +10,13 @@ the documented 1e-12 evaluation tolerance, and returned as floats.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
 
 from . import clustering, stats
-from .space import FiniteSemimetricSpace, ScaleParams, _labels, _positive_order, as_fraction
+from .space import FiniteSemimetricSpace, Record, ScaleParams, _labels, _positive_order, as_fraction
 
 __all__ = [
     "ParameterError",
@@ -43,8 +42,7 @@ class ParameterError(ValueError):
     """A bound parameter is outside the domain of the requested quantity."""
 
 
-@dataclass(frozen=True)
-class BoundInputs:
+class BoundInputs(Record):
     """Free density parameters (alpha, beta, delta) at order k.
 
     alpha must be strictly positive for the improved bound to be defined;
@@ -85,8 +83,7 @@ def precondition_check(inputs: BoundInputs) -> bool:
     return evaluate_bounds(inputs).precondition_ok
 
 
-@dataclass(frozen=True)
-class BoundEvaluation:
+class BoundEvaluation(Record):
     """The improved bound psi for one input: every gate, decided once, and
     the coefficient itself.
 
@@ -213,8 +210,7 @@ def measure_meets_psi(measure: int, n: int, inputs: BoundInputs) -> bool | None:
     return evaluate_bounds(inputs).meets(measure, n)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Named inequality outcome recorded in a certificate."""
 
     name: str
@@ -222,8 +218,7 @@ class Verdict:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(Record):
     """Full analysis record for one space at one scale.
 
     Every part is derived from (space, params) and computed on first read,

@@ -13,14 +13,13 @@ deterministic and reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
 from . import stats
-from .space import FiniteSemimetricSpace, ScaleParams, _bits, _mask, _positive_order
+from .space import FiniteSemimetricSpace, Record, ScaleParams, _bits, _mask, _positive_order
 
 __all__ = [
     "SearchLimitError",
@@ -52,8 +51,7 @@ def _refusal(n: int, max_points: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class DecompositionPart:
+class DecompositionPart(Record):
     """One step of the greedy decomposition.
 
     ``z`` is the extracted neighborhood, ``x`` its kernel (the maximum
@@ -73,8 +71,7 @@ class DecompositionPart:
     long_edges: int
 
 
-@dataclass(frozen=True)
-class GreedyDecomposition:
+class GreedyDecomposition(Record):
     """Ordered parts plus the derived index sets used by the bound checks.
 
     ``w`` lists part sizes |Z_i| in descending order. ``i0`` holds the part
@@ -92,8 +89,7 @@ class GreedyDecomposition:
     far_pair_count: int
 
 
-@dataclass(frozen=True)
-class ClusterStructure:
+class ClusterStructure(Record):
     """k disjoint clusters of diameter <= 2r, pairwise at distance >= r.
 
     Clusters may be empty (padding keeps order-k structures total even when
@@ -111,8 +107,7 @@ class ClusterStructure:
         return sum(len(c) for c in self.clusters)
 
 
-@dataclass(frozen=True)
-class ExactSearchResult:
+class ExactSearchResult(Record):
     structure: ClusterStructure
     optimal: bool
     nodes_explored: int
@@ -348,8 +343,7 @@ def exact_structure(
     )
 
 
-@dataclass(frozen=True)
-class StructureViolation:
+class StructureViolation(Record):
     """One failed structure constraint with its witnessing points."""
 
     kind: str  # "diameter", "separation", or "overlap"
@@ -358,8 +352,7 @@ class StructureViolation:
     distance: Fraction | None
 
 
-@dataclass(frozen=True)
-class StructureValidation:
+class StructureValidation(Record):
     violations: tuple[StructureViolation, ...]
 
     @property

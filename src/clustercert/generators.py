@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .space import (
     FiniteSemimetricSpace,
+    Record,
     SpaceFormatError,
     _bits,
     _is_int,
@@ -48,8 +48,7 @@ __all__ = [
 _RESOLUTION = 1000  # granularity of randomly drawn distances, in units of r
 
 
-@dataclass(frozen=True)
-class TightInstanceSpec:
+class TightInstanceSpec(Record):
     """Block witness layout: one block of size m0 and k blocks of size m.
 
     Distances are r inside a block and 4r across blocks, so medium edges are
@@ -197,8 +196,7 @@ def space_from_points(points: Sequence[Sequence], *, metric: str = "l1") -> Fini
     return build_space([f"p{i}" for i in range(n)], dist)
 
 
-@dataclass(frozen=True)
-class WeightedFiniteSpace:
+class WeightedFiniteSpace(Record):
     """A space with a positive rational measure per point; the total weight
     plays the role of the measure of the whole space."""
 

@@ -16,21 +16,19 @@ from __future__ import annotations
 
 import decimal
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "SpaceFormatError",
-    "EdgeClass",
+    "Record",
     "ScaleParams",
     "FiniteSemimetricSpace",
     "as_fraction",
     "format_rational",
     "build_space",
-    "classify_edge",
     "subset_diameter",
     "set_distance",
     "load_space",
@@ -119,17 +117,69 @@ def _positive_order(k) -> None:
         raise ValueError(f"order k must be a positive integer, got {k!r}")
 
 
-class EdgeClass(Enum):
-    """Class of a point pair relative to the scale r: the distance is at most
-    r (SHORT), in (r, 3r] (MEDIUM), or above 3r (LONG)."""
+class Record:
+    """Frozen value record, the base of every record type of the package.
 
-    SHORT = "short"
-    MEDIUM = "medium"
-    LONG = "long"
+    The class annotations, in order and after those of a record base class,
+    are the fields, and a class attribute named like a field is its default. Fields are passed by position or by
+    keyword, then ``__post_init__`` runs; it may normalise a field with
+    ``object.__setattr__``. Records compare and hash by type and field values
+    and refuse assignment. They keep a ``__dict__``, so ``cached_property``
+    works on them.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__annotations__
+        cls._fields = tuple(dict.fromkeys((*cls._fields, *own)))
+        cls._defaults = {**cls._defaults, **{key: vars(cls)[key] for key in own if key in vars(cls)}}
+        cls._get = attrgetter(*cls._fields)  # called as self._get(self): not a method
+
+    def __init__(self, *args, **kwargs):
+        values = {**self._defaults, **dict(zip(self._fields, args)), **kwargs}
+        if kwargs or len(values) != len(self._fields) or len(args) > len(self._fields):
+            self._check(args, kwargs)
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def _check(self, args, kwargs) -> None:
+        """TypeError for surplus positional values or a repeated, unknown or missing field."""
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
+        for key in kwargs:
+            if key in fields[: len(args)] or key not in fields:
+                raise TypeError(f"{name}() got a repeated or unknown field {key!r}")
+        for key in fields[len(args) :]:
+            if key not in kwargs and key not in self._defaults:
+                raise TypeError(f"{name}() is missing field {key!r}")
+
+    def __post_init__(self):
+        """Check or normalise the fields once they are set; a record may define it."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._get(self) == other._get(other)
+
+    def __hash__(self) -> int:
+        return hash(self._get(self))
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{key}={getattr(self, key)!r}" for key in self._fields)
+        return f"{type(self).__qualname__}({pairs})"
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot assign {key!r}")
+
+    def __delattr__(self, key):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot delete {key!r}")
 
 
-@dataclass(frozen=True)
-class ScaleParams:
+class ScaleParams(Record):
     """Scale r > 0 for edge classification and the structure order k >= 1."""
 
     r: Fraction
@@ -140,8 +190,7 @@ class ScaleParams:
         _positive_order(self.k)
 
 
-@dataclass(frozen=True)
-class FiniteSemimetricSpace:
+class FiniteSemimetricSpace(Record):
     """Immutable point set with an exact symmetric distance table.
 
     Queries are pure; instances are safe to share across threads. Use
@@ -296,19 +345,6 @@ def build_space(
                             f"{format_rational(rows[i][via] + rows[via][j])}"
                         )
     return FiniteSemimetricSpace(labels=labels, dist=tuple(rows))
-
-
-def classify_edge(space: FiniteSemimetricSpace, i: int, j: int, r) -> EdgeClass:
-    """Classify the pair (i, j) at scale r with exact, inclusive thresholds."""
-    if i == j:
-        raise ValueError(f"self-edge ({i},{i}) is unclassified")
-    r = _positive_scale(r)
-    d = space.dist[i][j]
-    if d <= r:
-        return EdgeClass.SHORT
-    if d <= 3 * r:
-        return EdgeClass.MEDIUM
-    return EdgeClass.LONG
 
 
 def subset_diameter(space: FiniteSemimetricSpace, points: Iterable[int]) -> Fraction:

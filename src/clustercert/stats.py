@@ -6,12 +6,11 @@ so that downstream inequality checks are decidable at boundary cases.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
 
-from .space import FiniteSemimetricSpace, ScaleParams, _is_int, _mask, as_fraction
+from .space import FiniteSemimetricSpace, Record, ScaleParams, _is_int, _mask, as_fraction
 
 __all__ = [
     "ObservedParams",
@@ -23,8 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ObservedParams:
+class ObservedParams(Record):
     """Tight observed densities of a space at scale (r, k).
 
     ``delta_hat`` is the medium-edge density 2*M/n^2, ``beta_hat`` the

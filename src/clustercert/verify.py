@@ -18,14 +18,15 @@ shortest paths.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from . import bounds, stats
 from .clustering import DEFAULT_EXACT_LIMIT
 from .generators import TightInstanceSpec, planted_instance, random_metric_instance, tight_instance
-from .space import FiniteSemimetricSpace, ScaleParams, _is_int, as_fraction, dump_space, load_space
+from .space import (
+    FiniteSemimetricSpace, Record, ScaleParams, _is_int, as_fraction, dump_space, load_space
+)
 
 __all__ = [
     "PROP_IDS",
@@ -42,8 +43,7 @@ __all__ = [
 _R_PALETTE = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 4))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one check: exact lhs/rhs and the verdict, or the reason the
     check does not apply. ``passed`` is None iff ``applicable`` is False."""
 
@@ -221,8 +221,7 @@ def check_proposition(
 _FLAVORS = ("tight", "planted", "metric")
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(Record):
     seed: int = 0
     trials: int = 200
     max_n: int = 10
@@ -248,16 +247,14 @@ class SuiteConfig:
             raise ValueError("k_values must be positive integers")
 
 
-@dataclass(frozen=True)
-class PropTally:
+class PropTally(Record):
     prop_id: str
     applicable: int
     passed: int
     failed: int
 
 
-@dataclass(frozen=True)
-class FailureRecord:
+class FailureRecord(Record):
     """A failed check plus everything needed to reproduce it: the space in
     file format, the exact scale parameters and, for P1, the block-witness
     construction data."""
@@ -289,8 +286,7 @@ class FailureRecord:
         return obj
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     config: SuiteConfig
     tallies: tuple[PropTally, ...]
     failures: tuple[FailureRecord, ...]

@@ -1,9 +1,26 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import clustercert as cc
 from clustercert.cli import main
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # Every command is a fresh process, so the import is paid per command.
+    script = "import sys, clustercert.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def _run(capsys, *argv):

@@ -61,11 +61,10 @@ class TestPlantedInstance:
         assert space.n == 12
         blocks = [label.split("_")[0] for label in space.labels]
         for i, j in combinations(range(12), 2):
-            edge = cc.classify_edge(space, i, j, 1)
             if blocks[i] == blocks[j]:
-                assert edge is cc.EdgeClass.SHORT
+                assert space.dist[i][j] <= 1
             else:
-                assert edge is cc.EdgeClass.LONG
+                assert space.dist[i][j] > 3
         assert cc.medium_edge_count(space, 1) == 0
 
     def test_noise_pairs_become_medium(self):

@@ -95,41 +95,6 @@ class TestScaleParams:
             cc.ScaleParams(r=r, k=k)
 
 
-class TestClassifyEdge:
-    def test_examples(self, s3):
-        assert cc.classify_edge(s3, 0, 1, 1) is cc.EdgeClass.SHORT
-        assert cc.classify_edge(s3, 0, 2, 1) is cc.EdgeClass.MEDIUM
-        assert cc.classify_edge(s3, 1, 2, 1) is cc.EdgeClass.LONG
-
-    def test_inclusive_boundaries(self):
-        # rho = r stays short, rho = 3r stays medium.
-        space = cc.build_space(["a", "b", "c"], [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]])
-        assert cc.classify_edge(space, 0, 1, 1) is cc.EdgeClass.SHORT
-        assert cc.classify_edge(space, 0, 2, 1) is cc.EdgeClass.MEDIUM
-
-    def test_self_edge_rejected(self, s3):
-        with pytest.raises(ValueError, match="self-edge"):
-            cc.classify_edge(s3, 1, 1, 1)
-
-    @given(space=oracles.semimetric_spaces(min_n=2), r=st.sampled_from(oracles.PALETTE[1:]))
-    def test_exactly_one_class_per_pair(self, space, r):
-        for i in range(space.n):
-            for j in range(space.n):
-                if i == j:
-                    continue
-                cls = cc.classify_edge(space, i, j, r)
-                d = space.rho(i, j)
-                matches = [d <= r, r < d <= 3 * r, d > 3 * r]
-                assert matches.count(True) == 1
-                assert matches[[cc.EdgeClass.SHORT, cc.EdgeClass.MEDIUM, cc.EdgeClass.LONG].index(cls)]
-
-    @given(space=oracles.semimetric_spaces(min_n=2), r=st.sampled_from(oracles.PALETTE[1:]))
-    def test_classification_symmetric(self, space, r):
-        for i in range(space.n):
-            for j in range(i + 1, space.n):
-                assert cc.classify_edge(space, i, j, r) is cc.classify_edge(space, j, i, r)
-
-
 class TestWithin:
     @given(
         space=oracles.semimetric_spaces(),

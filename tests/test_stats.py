@@ -20,6 +20,14 @@ class TestMediumEdgeCount:
         space = cc.build_space(["a"], [["0"]])
         assert cc.medium_edge_count(space, 1) == 0
 
+    def test_inclusive_boundaries(self):
+        # rho = r stays short, rho = 3r stays medium.
+        space = cc.build_space(["a", "b", "c"], [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]])
+        assert space.within(1)[0] == 0b011 and space.within(3)[0] == 0b111
+        assert cc.medium_edge_count(space, 1, points=[0, 1]) == 0
+        assert cc.medium_edge_count(space, 1, points=[0, 2]) == 1
+        assert cc.long_edge_count(space, 1) == 0
+
     def test_subset_restriction(self, s3):
         assert cc.medium_edge_count(s3, 1, points=[0, 1]) == 0
         assert cc.medium_edge_count(s3, 1, points=[0, 2]) == 1

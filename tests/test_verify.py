@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -316,7 +315,7 @@ class TestFailureRoundTrip:
         params = cc.ScaleParams(r=spec.r, k=spec.k)
         original = verify.check_proposition(broken, params, "P1", tight=spec)
         assert original.applicable and original.passed is False
-        record = verify.FailureRecord(
+        fields = dict(
             trial=0,
             prop_id="P1",
             k=params.k,
@@ -324,11 +323,11 @@ class TestFailureRoundTrip:
             lhs=str(original.lhs),
             rhs=str(original.rhs),
             space_text=cc.dump_space(broken),
-            tight=spec,
         )
+        record = verify.FailureRecord(**fields, tight=spec)
         assert verify.replay_failure(record) == original
         assert record.to_obj()["tight"] == {"k": 1, "m": 2, "m0": 2, "r": "1"}
-        assert "tight" not in dataclasses.replace(record, tight=None).to_obj()
+        assert "tight" not in verify.FailureRecord(**fields).to_obj()
 
     def test_suite_failure_reaches_the_report_and_replays(self, monkeypatch):
         # P4 with its verdict inverted fails wherever P4 passes, keeping P4's
@@ -338,7 +337,10 @@ class TestFailureRoundTrip:
 
         def inverted(cert, tight):
             result = check_p4(cert, tight)
-            return dataclasses.replace(result, passed=not result.passed, note="inverted")
+            return verify.CheckResult(
+                result.prop_id, result.applicable, not result.passed, result.lhs, result.rhs,
+                note="inverted", witness=result.witness,
+            )
 
         monkeypatch.setitem(verify._CHECKS, "P4", inverted)
         report = verify.run_suite(verify.SuiteConfig(seed=3, trials=6, max_n=6))

@@ -27,7 +27,6 @@ __all__ = [
     "lambda_param",
     "alpha_prime",
     "precondition_check",
-    "evaluate_bounds",
     "psi_bound",
     "legacy_bound",
     "measure_meets_psi",
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 _PRECISION = 40
-EVALUATION_TOLERANCE = 1e-12
 
 
 class ParameterError(ValueError):
@@ -80,7 +78,7 @@ def precondition_check(inputs: BoundInputs) -> bool:
     Returns False when alpha = 0 (the left side is undefined, so the bound
     machinery is inapplicable rather than erroneous).
     """
-    return evaluate_bounds(inputs).precondition_ok
+    return psi_bound(inputs).precondition_ok
 
 
 class BoundEvaluation(Record):
@@ -138,9 +136,10 @@ class BoundEvaluation(Record):
         return (2 * self.inputs.k + 1) ** 2 * self.inputs.delta >= q * q
 
 
-def evaluate_bounds(inputs: BoundInputs) -> BoundEvaluation:
-    """Decide alpha > 0, the precondition and alpha' > 0 for ``inputs``, and
-    set the penalty k!(k+2)*beta/alpha' of psi when all pass."""
+def psi_bound(inputs: BoundInputs) -> BoundEvaluation:
+    """The bound record: decide alpha > 0, the precondition and alpha' > 0
+    for ``inputs``, and set the penalty k!(k+2)*beta/alpha' of psi when all
+    pass; ``value`` is then psi."""
     if inputs.alpha == 0:
         return BoundEvaluation(inputs, None, None, False, "alpha is not separated from zero")
     k = inputs.k
@@ -162,7 +161,7 @@ def evaluate_bounds(inputs: BoundInputs) -> BoundEvaluation:
 
 def _defined(inputs: BoundInputs) -> BoundEvaluation:
     """The evaluation, or ParameterError when lambda is undefined (alpha = 0)."""
-    ev = evaluate_bounds(inputs)
+    ev = psi_bound(inputs)
     if ev.lam is None:
         raise ParameterError("lambda is undefined: alpha is not separated from zero")
     return ev
@@ -187,11 +186,6 @@ def _nth_root(q: Fraction, m: int, ctx: decimal.Context) -> Decimal:
     return ctx.exp(ctx.divide(ctx.ln(d), Decimal(m)))
 
 
-def psi_bound(inputs: BoundInputs) -> BoundEvaluation:
-    """The bound record; ``value`` is psi when ``applicable``."""
-    return evaluate_bounds(inputs)
-
-
 def legacy_bound(beta, delta, k: int) -> float:
     """1 - sqrt(delta)*(2k+1) - (k(e+1)+1) * beta^(1/(k+1))."""
     beta = as_fraction(beta)
@@ -207,7 +201,7 @@ def legacy_bound(beta, delta, k: int) -> float:
 
 def measure_meets_psi(measure: int, n: int, inputs: BoundInputs) -> bool | None:
     """Exact decision of measure >= psi * n; see :meth:`BoundEvaluation.meets`."""
-    return evaluate_bounds(inputs).meets(measure, n)
+    return psi_bound(inputs).meets(measure, n)
 
 
 class Verdict(Record):
@@ -245,7 +239,7 @@ class BoundCertificate(Record):
         """The bound gates at the observed densities."""
         obs = self.observed
         inputs = BoundInputs(obs.alpha_hat, obs.beta_hat, obs.delta_hat, self.params.k)
-        return evaluate_bounds(inputs)
+        return psi_bound(inputs)
 
     @cached_property
     def legacy(self) -> float:

@@ -4,8 +4,8 @@ Subcommands: analyze (full certificate), greedy (decomposition dump), exact
 (optimal structure), generate (block witness / planted instance), discretize
 (weighted-to-uniform collapse), and verify (randomized check suite).
 
-Exit status: 0 on success, 1 on input errors, 2 when verify finds check
-failures -- so CI can distinguish "checks failed" from "could not run".
+Exit status: 0 on success, 1 on input and usage errors, 2 when verify finds
+check failures -- so CI can distinguish "checks failed" from "could not run".
 """
 from __future__ import annotations
 
@@ -270,7 +270,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # After a usage error argparse exits 2, which here means failed checks.
+        if exc.code != 2:
+            raise
+        return 1
     try:
         if getattr(args, "exact_limit", 0) < 0:
             raise ValueError(f"--exact-limit must be non-negative, got {args.exact_limit}")

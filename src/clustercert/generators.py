@@ -99,6 +99,13 @@ def tight_instance(spec: TightInstanceSpec) -> FiniteSemimetricSpace:
     return build_space(labels, matrix)
 
 
+def _rng(seed) -> random.Random:
+    """The random source of a generator; ValueError unless ``seed`` is an int."""
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return random.Random(seed)
+
+
 def planted_instance(
     k: int,
     block_sizes: Sequence[int],
@@ -124,7 +131,7 @@ def planted_instance(
         raise ValueError(f"noise fraction must lie in [0, 1), got {noise}")
     r = _positive_scale(r)
 
-    rng = random.Random(seed)
+    rng = _rng(seed)
     labels, block_of = _blocks("b", sizes)
     n = len(labels)
 
@@ -161,7 +168,7 @@ def random_metric_instance(n: int, r, seed: int) -> FiniteSemimetricSpace:
     if not _is_int(n) or n < 0:
         raise ValueError(f"point count must be a non-negative integer, got {n!r}")
     r = _positive_scale(r)
-    rng = random.Random(seed)
+    rng = _rng(seed)
     half = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):

@@ -73,10 +73,8 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
     sets of the near graph. Such a set is one (maybe empty) set per near
     component, so T_s = [x^s] of the product of the components' independence
     polynomials; a near-clique of m points gives the factor 1 + m*x.
-    Components come from a bitset search; each one's sets of every order up
-    to s are counted by a backtrack in ascending index order that prunes a
-    partial subset as soon as too few candidates remain. That backtrack
-    alone counts a one-component space.
+    Components come from a bitset search; one walk per component, in
+    ascending index order, tallies its sets of every order up to s.
     """
     if not _is_int(s) or s < 0:
         raise ValueError(f"anticlique order must be a non-negative integer, got {s!r}")
@@ -88,20 +86,20 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
     near = space.within(r)
     far = [~row for row in near]
 
-    def count(cand: int, need: int) -> int:
-        if need == 1:
-            return cand.bit_count()
-        total = 0
-        while cand.bit_count() >= need:
-            low = cand & -cand
-            cand ^= low
-            # cand now holds only points above the one just chosen.
-            rest = cand & far[low.bit_length() - 1]
-            total += rest.bit_count() if need == 2 else count(rest, need - 1)
-        return total
+    def walk(cand: int, size: int, tally: list[int]) -> None:
+        # Each point of cand extends the current size-point set by one.
+        tally[size] += cand.bit_count()
+        if size + 1 < s:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                # cand now holds only points above the one just chosen.
+                rest = cand & far[low.bit_length() - 1]
+                if rest:
+                    walk(rest, size + 1, tally)
 
-    every = left = (1 << n) - 1
-    poly = [1] + [0] * s
+    factors = []
+    left = (1 << n) - 1
     while left:
         # Grow the component of the lowest unvisited point, one layer a pass.
         comp = frontier = left & -left
@@ -113,11 +111,19 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
                 reach |= near[low.bit_length() - 1]
             frontier = reach & ~comp
             comp |= frontier
-        if comp == every:
-            return count(comp, s)
         left &= ~comp
-        factor = [count(comp, i) for i in range(1, min(s, comp.bit_count()) + 1)]
-        # poly *= 1 + sum factor[i-1] x^i; descending j reads old coefficients.
+        tally = [0] * s
+        walk(comp, 0, tally)
+        factors.append(tally)
+    return _truncated_product(factors, s)
+
+
+def _truncated_product(factors: Iterable[Sequence[int]], s: int) -> int:
+    """[x^s] of the product of the polynomials 1 + f[0] x + f[1] x^2 + ...
+    over ``factors``, truncated at degree s."""
+    poly = [1] + [0] * s
+    for factor in factors:
+        # Descending j reads the old coefficients.
         for j in range(s, 0, -1):
             for i, f in enumerate(factor[:j], 1):
                 poly[j] += poly[j - i] * f
@@ -125,20 +131,15 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
 
 
 def elementary_symmetric(values: Sequence[int], s: int) -> int:
-    """e_s(values): the sum over s-subsets of products, via the
-    degree-truncated product recurrence. Exact integer arithmetic."""
+    """e_s(values): the sum over s-subsets of products, the coefficient of
+    x^s in the product of the factors 1 + v*x. Exact integer arithmetic."""
     if not _is_int(s) or s < 0:
         raise ValueError(f"degree must be a non-negative integer, got {s!r}")
     vals = list(values)
     for idx, v in enumerate(vals):
         if not _is_int(v) or v < 0:
             raise ValueError(f"value {idx} must be a non-negative integer, got {v!r}")
-    coeffs = [0] * (s + 1)
-    coeffs[0] = 1
-    for v in vals:
-        for j in range(min(s, len(coeffs) - 1), 0, -1):
-            coeffs[j] += v * coeffs[j - 1]
-    return coeffs[s]
+    return _truncated_product([(v,) for v in vals], s)
 
 
 def observed_parameters(space: FiniteSemimetricSpace, params: ScaleParams) -> ObservedParams:

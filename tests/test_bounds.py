@@ -71,11 +71,10 @@ class TestEvaluateBounds:
     )
     def test_first_failing_gate(self, alpha, beta, delta, k, precondition_ok, reason):
         inputs = cc.BoundInputs(alpha=alpha, beta=beta, delta=delta, k=k)
-        ev = cc.evaluate_bounds(inputs)
+        ev = cc.psi_bound(inputs)
         assert ev.precondition_ok == precondition_ok == cc.precondition_check(inputs)
         assert (ev.reason is None) == (reason is None)
         assert reason is None or reason in ev.reason
-        assert cc.psi_bound(inputs).reason == ev.reason
         if alpha == 0:
             assert ev.lam is None and ev.alpha_prime is None
         else:
@@ -106,7 +105,7 @@ class TestPreconditionOracle:
         inputs = cc.BoundInputs(alpha=alpha, beta=beta, delta=delta, k=k)
         expected = alpha > 0 and delta + (k + 1) * beta**2 / alpha**2 <= Fraction(2, (k + 1) ** 3)
         assert cc.precondition_check(inputs) == expected
-        ev = cc.evaluate_bounds(inputs)
+        ev = cc.psi_bound(inputs)
         assert (ev.penalty is None) == (ev.reason is not None)
         if ev.penalty is not None:
             assert ev.penalty == factorial(k) * (k + 2) * beta / ev.alpha_prime
@@ -217,7 +216,7 @@ class TestMeasureMeetsPsi:
 
     def test_square_root_tie(self):
         # psi = 1 - 3 * sqrt(1/36) = 1/2: (2k+1)^2 delta = q^2 = 1/4 at measure/n = 1/2.
-        ev = cc.evaluate_bounds(cc.BoundInputs(alpha=Fraction(1), beta=Fraction(0), delta=Fraction(1, 36), k=1))
+        ev = cc.psi_bound(cc.BoundInputs(alpha=Fraction(1), beta=Fraction(0), delta=Fraction(1, 36), k=1))
         assert ev.meets(1, 2) is True
         assert ev.meets(2, 4) is True
         assert ev.meets(4, 9) is False
@@ -261,13 +260,13 @@ class TestSingleEvaluation:
         # the gates are evaluated once per (space, params), however each
         # caller spells its arguments.
         calls = []
-        evaluate = cc.bounds.evaluate_bounds
+        evaluate = cc.bounds.psi_bound
 
         def counted(inputs):
             calls.append(inputs)
             return evaluate(inputs)
 
-        monkeypatch.setattr(cc.bounds, "evaluate_bounds", counted)
+        monkeypatch.setattr(cc.bounds, "psi_bound", counted)
         space = cc.planted_instance(2, [5, 5], 0, 1, seed=3)
         params = cc.ScaleParams(r=1, k=2)
         cert = cc.build_certificate(space, params)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from inspect import ismodule
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,15 @@ def test_import_loads_no_dataclasses_or_inspect():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    modules = ("bounds", "clustering", "generators", "serialize", "space", "stats", "verify")
+    names = set().union(*(getattr(cc, m).__all__ for m in modules))
+    public = {n for n, v in vars(cc).items() if not n.startswith("_") and not ismodule(v)}
+    assert public == names
+    assert all(getattr(cc, n) is getattr(getattr(cc, m), n)
+               for m in modules for n in getattr(cc, m).__all__)
 
 
 def _run(capsys, *argv):
@@ -287,6 +297,10 @@ class TestMalformedInput:
                 '{"kind": "planted", "k": 1, "blockSizes": [3], "r": "1", "seed": 1.5}',
             ),
             (
+                ["generate", "--config"],
+                '{"kind": "planted", "k": 1, "blockSizes": [3], "r": "1", "seed": null}',
+            ),
+            (
                 ["analyze", "--r", "1", "--k", "1", "--input"],
                 '{"labels": [true, false], "dist": [["0", "1"], ["1", "0"]]}',
             ),
@@ -320,6 +334,7 @@ class TestMalformedInput:
             "config-k-float",
             "config-block-size-float",
             "config-seed-float",
+            "config-seed-null",
             "labels-booleans",
             "labels-list-and-object",
             "labels-integers",
@@ -371,3 +386,33 @@ class TestMalformedInput:
         path.write_text(content, encoding="utf-8")
         code, out, err = _run(capsys, "analyze", "--r", "1", "--k", "1", "--input", str(path))
         assert code == 1 and "n must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "--input", "x.space", "--r", "abc", "--k", "1"], "argument --r"),
+            (["analyze", "--r", "1", "--k", "1"], "the following arguments are required: --input"),
+            (["verify", "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+        ],
+        ids=["bad-r", "missing-input", "bad-trials"],
+    )
+    def test_usage_error_is_exit_1(self, capsys, argv, message):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and not out
+        assert err.startswith(f"usage: clustercert {argv[0]} ")
+        assert f"clustercert {argv[0]}: error: {message}" in err
+
+    def test_usage_error_exit_status_of_the_process(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        run = subprocess.run(
+            [sys.executable, "-m", "clustercert.cli", "verify", "--trials", "x"],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 1 and not run.stdout
+        assert "error: argument --trials" in run.stderr
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: clustercert analyze ")

@@ -92,11 +92,25 @@ class TestPlantedInstance:
         with pytest.raises(ValueError):
             cc.planted_instance(k, sizes, 0, 1, 1)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "x", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            cc.planted_instance(2, [3, 3], 0, 1, seed)
+
 
 class TestRandomMetricInstance:
     def test_boolean_point_count_rejected(self):
         with pytest.raises(ValueError):
             cc.random_metric_instance(True, 1, 0)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "x", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            cc.random_metric_instance(4, 1, seed)
+
+    def test_negative_and_large_seeds_stay_valid(self):
+        assert cc.random_metric_instance(4, 1, -3).n == 4
+        assert cc.random_metric_instance(4, 1, 1945654213).n == 4
 
     @pytest.mark.parametrize("seed", range(8))
     def test_closure_yields_metric(self, seed):

@@ -15,8 +15,11 @@ multiplicity blocks sit at mutual distance 0.
 
 To re-record after an intended output change, run from the repository root:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --record
+
+Any other arguments, or none, print this usage and write nothing.
 """
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,7 +99,31 @@ def test_output_is_byte_identical(name, tmp_path):
     assert _run(CASES[name], tmp_path / name) == (GOLDEN / name).read_bytes()
 
 
-if __name__ == "__main__":
-    for name, argv in sorted(CASES.items()):
-        _run(argv, GOLDEN / name)
+USAGE = "usage: PYTHONPATH=src python tests/test_golden.py --record"
+
+
+def record(argv: list[str]) -> int:
+    """Re-record every golden file when ``argv`` is exactly ``--record``."""
+    if argv != ["--record"]:
+        print(USAGE, file=sys.stderr)
+        return 2
+    for name, case in sorted(CASES.items()):
+        _run(case, GOLDEN / name)
         print(f"recorded {name}")
+    return 0
+
+
+def test_record_writes_nothing_without_the_flag(capsys, monkeypatch):
+    def refuse(argv, out):
+        raise AssertionError(f"wrote {out}")
+
+    before = {p: p.stat().st_mtime_ns for p in GOLDEN.rglob("*")}
+    monkeypatch.setitem(globals(), "_run", refuse)
+    for argv in (["--help"], [], ["--recrod"], ["--record", "extra"]):
+        assert record(argv) != 0
+        assert capsys.readouterr().err == USAGE + "\n"
+    assert {p: p.stat().st_mtime_ns for p in GOLDEN.rglob("*")} == before
+
+
+if __name__ == "__main__":
+    sys.exit(record(sys.argv[1:]))

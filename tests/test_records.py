@@ -109,7 +109,7 @@ class TestCachedParts:
         sqrt = bounds._sqrt
         monkeypatch.setattr(bounds, "_sqrt", lambda q, ctx: calls.append(q) or sqrt(q, ctx))
         inputs = cc.BoundInputs(Fraction(1), Fraction(0), Fraction(1, 36), 1)
-        ev = cc.evaluate_bounds(inputs)
+        ev = cc.psi_bound(inputs)
         first = ev.value
         assert ev.value == first and len(calls) == 1
         assert vars(ev)["value"] == first

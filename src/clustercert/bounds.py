@@ -4,8 +4,8 @@ Everything decidable stays in exact rationals: the auxiliary parameter
 ``lambda_param``, the precondition inequality, and the bound-vs-measure
 verdicts (square roots are eliminated by squaring). Only the reported bound
 values themselves force irrational evaluation (sqrt, (k+1)-th roots, the
-constant e); those are computed with 40-digit Decimal arithmetic, far inside
-the documented 1e-12 evaluation tolerance, and returned as floats.
+constant e); those are computed in a private 40-digit Decimal context and
+returned as floats.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from . import clustering, stats
 from .space import FiniteSemimetricSpace, Record, ScaleParams, _labels, _positive_order, as_fraction
 
 __all__ = [
-    "ParameterError",
     "BoundInputs",
     "BoundEvaluation",
     "Verdict",
@@ -36,16 +35,12 @@ __all__ = [
 _PRECISION = 40
 
 
-class ParameterError(ValueError):
-    """A bound parameter is outside the domain of the requested quantity."""
-
-
 class BoundInputs(Record):
     """Free density parameters (alpha, beta, delta) at order k.
 
     alpha must be strictly positive for the improved bound to be defined;
     alpha = 0 is representable so that observed parameters can flow in
-    unconditionally, but the dependent operations reject it.
+    unconditionally, and then lambda, alpha' and psi are None.
     """
 
     alpha: Fraction
@@ -62,14 +57,15 @@ class BoundInputs(Record):
         _positive_order(self.k)
 
 
-def lambda_param(inputs: BoundInputs) -> Fraction:
-    """lam = (k+1)/2 * delta + (k+1)^2/2 * beta^2/alpha^2, exact."""
-    return _defined(inputs).lam
+def lambda_param(inputs: BoundInputs) -> Fraction | None:
+    """lam = (k+1)/2 * delta + (k+1)^2/2 * beta^2/alpha^2, exact; None at alpha = 0."""
+    return psi_bound(inputs).lam
 
 
-def alpha_prime(inputs: BoundInputs) -> Fraction:
-    """alpha' = alpha - k^3/2 * lam, the effective denominator of the bound."""
-    return _defined(inputs).alpha_prime
+def alpha_prime(inputs: BoundInputs) -> Fraction | None:
+    """alpha' = alpha - k^3/2 * lam, the effective denominator of the bound;
+    None at alpha = 0."""
+    return psi_bound(inputs).alpha_prime
 
 
 def precondition_check(inputs: BoundInputs) -> bool:
@@ -157,14 +153,6 @@ def psi_bound(inputs: BoundInputs) -> BoundEvaluation:
         return BoundEvaluation(inputs, lam, a_prime, ok, reason)
     penalty = factorial(k) * (k + 2) * inputs.beta / a_prime
     return BoundEvaluation(inputs, lam, a_prime, ok, None, penalty)
-
-
-def _defined(inputs: BoundInputs) -> BoundEvaluation:
-    """The evaluation, or ParameterError when lambda is undefined (alpha = 0)."""
-    ev = psi_bound(inputs)
-    if ev.lam is None:
-        raise ParameterError("lambda is undefined: alpha is not separated from zero")
-    return ev
 
 
 def _decimal_context() -> decimal.Context:

@@ -378,7 +378,7 @@ def validate_structure(
                         kind="diameter",
                         clusters=(i,),
                         points=(a, b),
-                        distance=space.dist[a][b],
+                        distance=space.rho(a, b),
                     )
                 )
     # Empty clusters can neither overlap nor be too close to another cluster.
@@ -396,7 +396,7 @@ def validate_structure(
             )
             continue
         others = _mask(clusters[j])
-        near = [(space.dist[u][v], u, v) for u in clusters[i] for v in _bits(close[u] & others)]
+        near = [(space.rho(u, v), u, v) for u in clusters[i] for v in _bits(close[u] & others)]
         if near:
             d, u, v = min(near)  # the closest pair, ties to the smallest indices
             violations.append(

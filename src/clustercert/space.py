@@ -1,11 +1,12 @@
 """Exact data model for finite semimetric point sets.
 
-Distances are stored as `fractions.Fraction`, so every threshold comparison
-(short/medium/long edge classification, cluster diameters, separation) is
-decided exactly. Decimal text is the canonical lossless input form; binary
-floats are converted bit-exactly, never rounded through a repr round trip.
-Each distinct token is parsed once. Thresholds bisect into the sorted
-distinct distances and compare int ranks; ``dist`` stays the Fraction table.
+A space stores its distances once: the sorted distinct values as
+`fractions.Fraction` and one int rank per cell into them. Every threshold
+comparison (short/medium/long pairs, cluster diameters, separation) bisects
+once into the values and then compares ranks, so it is decided exactly.
+``dist`` is a cached Fraction view of the table. Decimal text is the
+canonical lossless input form; binary floats are converted bit-exactly, never
+rounded through a repr round trip. Each distinct token is parsed once.
 
 A space carries the uniform counting measure: the measure of a point subset
 is its cardinality. The triangle inequality is *not* required ("semimetric");
@@ -193,13 +194,15 @@ class ScaleParams(Record):
 class FiniteSemimetricSpace(Record):
     """Immutable point set with an exact symmetric distance table.
 
-    Queries are pure; instances are safe to share across threads. Use
-    :func:`build_space` rather than the constructor so the invariants
-    (symmetry, zero diagonal, non-negativity) are checked.
+    ``values`` holds the sorted distinct distances and ``ranks`` one int per
+    cell, an index into ``values``. Queries are pure; instances are safe to
+    share across threads. Use :func:`build_space` rather than the constructor
+    so the invariants (symmetry, zero diagonal, non-negativity) are checked.
     """
 
     labels: tuple[str, ...]
-    dist: tuple[tuple[Fraction, ...], ...]
+    values: tuple[Fraction, ...]
+    ranks: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -209,7 +212,12 @@ class FiniteSemimetricSpace(Record):
         return range(len(self.labels))
 
     def rho(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
+        return self.values[self.ranks[i][j]]
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distance table: one shared Fraction per distinct value."""
+        return tuple(tuple(map(self.values.__getitem__, row)) for row in self.ranks)
 
     def within(self, d, *, strict: bool = False) -> tuple[int, ...]:
         """Threshold graph at distance ``d`` as one bitmask per point.
@@ -229,38 +237,17 @@ class FiniteSemimetricSpace(Record):
         d = as_fraction(d)
         memo = self._within_memo
         if (d, strict) not in memo:
-            values, ranks = self._ranks
-            cut = (bisect_left if strict else bisect_right)(values, d)
-            memo[d, strict] = tuple(_mask(q for q, x in enumerate(row) if x < cut) for row in ranks)
+            cut = (bisect_left if strict else bisect_right)(self.values, d)
+            memo[d, strict] = tuple(_mask(q for q, x in enumerate(row) if x < cut) for row in self.ranks)
         return memo[d, strict]
 
     @cached_property
     def _within_memo(self) -> dict:
         return {}
 
-    @cached_property
-    def _ranks(self) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
-        # Keyed by identity and integer ratio, never by Fraction hash: a parsed
-        # table shares one Fraction per token. Sorted on floor(q * 2^64) first.
-        cells = {id(q): q for row in self.dist for q in row}
-        distinct = {q.as_integer_ratio(): q for q in cells.values()}.values()
-        values = sorted(distinct, key=lambda q: ((q.numerator << 64) // q.denominator, q))
-        place = {q.as_integer_ratio(): i for i, q in enumerate(values)}
-        rank = {key: place[q.as_integer_ratio()] for key, q in cells.items()}
-        return tuple(values), tuple(tuple(map(rank.__getitem__, map(id, row))) for row in self.dist)
-
-    @cached_property
-    def _field_hash(self) -> int:
-        return hash((self.labels, *self._ranks))
-
     def __hash__(self) -> int:
-        # Memo lookups keyed by a space hash it each time; hashing the ranks
-        # once per instance keeps those lookups cheap.
-        return self._field_hash
-
-    def __getstate__(self) -> dict:
-        # Caches stay behind: string hashes differ between processes.
-        return {"labels": self.labels, "dist": self.dist}
+        # Equal spaces have equal ranks, so ``values`` can stay out of the hash.
+        return hash((self.labels, self.ranks))
 
 
 def _mask(points: Iterable[int]) -> int:
@@ -328,11 +315,20 @@ def build_space(
                     tokens[value] = q
             parsed.append(q)
         rows.append(tuple(parsed))
-    for i in range(n):
-        if rows[i][i] != 0:
-            raise SpaceFormatError(f"nonzero diagonal at ({i},{i}): {format_rational(rows[i][i])}")
+    # Keyed by identity (parsed tokens share one Fraction each), then by
+    # integer ratio, never by the slower Fraction hash. Sorted on
+    # floor(q * 2^64) first, so most comparisons are int ones.
+    cells = {id(q): q for row in rows for q in row}
+    distinct = {q.as_integer_ratio(): q for q in cells.values()}.values()
+    values = tuple(sorted(distinct, key=lambda q: ((q.numerator << 64) // q.denominator, q)))
+    place = {q.as_integer_ratio(): i for i, q in enumerate(values)}
+    rank = {key: place[q.as_integer_ratio()] for key, q in cells.items()}
+    ranks = tuple(tuple(map(rank.__getitem__, map(id, row))) for row in rows)
+    for i, row in enumerate(ranks):
+        if values[row[i]] != 0:
+            raise SpaceFormatError(f"nonzero diagonal at ({i},{i}): {format_rational(values[row[i]])}")
         for j in range(i + 1, n):
-            if rows[i][j] is not rows[j][i] and rows[i][j] != rows[j][i]:
+            if row[j] != ranks[j][i]:
                 raise SpaceFormatError(f"asymmetric at ({i},{j})")
     if require_metric:
         for i in range(n):
@@ -344,21 +340,16 @@ def build_space(
                             f"{format_rational(rows[i][j])} > "
                             f"{format_rational(rows[i][via] + rows[via][j])}"
                         )
-    return FiniteSemimetricSpace(labels=labels, dist=tuple(rows))
+    return FiniteSemimetricSpace(labels, values, ranks)
 
 
 def subset_diameter(space: FiniteSemimetricSpace, points: Iterable[int]) -> Fraction:
     """Largest pairwise distance within the subset; 0 for empty or singleton
     subsets, so the empty set is a valid cluster at every scale."""
     pts = sorted(set(points))
-    best = Fraction(0)
-    for a in range(len(pts)):
-        row = space.dist[pts[a]]
-        for b in range(a + 1, len(pts)):
-            d = row[pts[b]]
-            if d > best:
-                best = d
-    return best
+    ranks = space.ranks
+    best = max((ranks[a][b] for i, a in enumerate(pts) for b in pts[i + 1 :]), default=None)
+    return Fraction(0) if best is None else space.values[best]
 
 
 def set_distance(space: FiniteSemimetricSpace, a: Iterable[int], b: Iterable[int]) -> Fraction:
@@ -368,14 +359,7 @@ def set_distance(space: FiniteSemimetricSpace, a: Iterable[int], b: Iterable[int
     pb = sorted(set(b))
     if not pa or not pb:
         raise ValueError("set distance is undefined for an empty set")
-    best = None
-    for u in pa:
-        row = space.dist[u]
-        for v in pb:
-            d = row[v]
-            if best is None or d < best:
-                best = d
-    return best
+    return space.values[min(space.ranks[u][v] for u in pa for v in pb)]
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +367,9 @@ def set_distance(space: FiniteSemimetricSpace, a: Iterable[int], b: Iterable[int
 # ---------------------------------------------------------------------------
 
 def dump_space(space: FiniteSemimetricSpace) -> str:
+    text = [format_rational(q) for q in space.values]  # indexed by rank
     lines = [str(space.n), " ".join(space.labels)]
-    for row in space.dist:
-        lines.append(" ".join(format_rational(q) for q in row))
+    lines += (" ".join(map(text.__getitem__, row)) for row in space.ranks)
     return "\n".join(lines) + "\n"
 
 
@@ -432,10 +416,11 @@ def load_space(text: str) -> FiniteSemimetricSpace:
 
 def space_to_obj(space: FiniteSemimetricSpace) -> dict:
     """Structured-object form with distances as exact strings."""
+    text = [format_rational(q) for q in space.values]
     return {
         "n": space.n,
         "labels": list(space.labels),
-        "dist": [[format_rational(q) for q in row] for row in space.dist],
+        "dist": [list(map(text.__getitem__, row)) for row in space.ranks],
     }
 
 

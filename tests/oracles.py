@@ -19,7 +19,7 @@ from clustercert.generators import (
     random_metric_instance,
     tight_instance,
 )
-from clustercert.space import FiniteSemimetricSpace, ScaleParams, _is_int, build_space
+from clustercert.space import FiniteSemimetricSpace, ScaleParams, _is_int, build_space, format_rational
 
 PALETTE = [
     Fraction(0),
@@ -89,6 +89,24 @@ def within(space: FiniteSemimetricSpace, d, strict: bool = False) -> tuple[int, 
     d = Fraction(d)
     reached = d.__gt__ if strict else d.__ge__
     return tuple(sum(1 << q for q, x in enumerate(row) if reached(x)) for row in space.dist)
+
+
+def dump_space(space: FiniteSemimetricSpace) -> str:
+    """Reference for ``space.dump_space``: every cell of the Fraction table
+    formatted on its own."""
+    lines = [str(space.n), " ".join(space.labels)]
+    for row in space.dist:
+        lines.append(" ".join(format_rational(q) for q in row))
+    return "\n".join(lines) + "\n"
+
+
+def space_to_obj(space: FiniteSemimetricSpace) -> dict:
+    """Reference for ``space.space_to_obj``, formatted cell by cell."""
+    return {
+        "n": space.n,
+        "labels": list(space.labels),
+        "dist": [[format_rational(q) for q in row] for row in space.dist],
+    }
 
 
 def elementary_symmetric(values, s: int) -> int:

@@ -1,10 +1,12 @@
 import gc
+import json
 import os
 import pickle
 import subprocess
 import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,8 @@ from clustercert.space import SpaceFormatError
 
 import oracles
 from conftest import S3_LABELS, S3_MATRIX
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestBuildSpace:
@@ -156,9 +160,8 @@ class TestRankLayer:
     def test_equal_tokens_share_one_rank(self):
         space = cc.load_space("3\na b c\n0 0.5 1/2\n1/2 0 0.50\n0.5 0.50 0\n")
         assert space.dist[0][1] is space.dist[2][0]  # one Fraction per distinct token
-        values, ranks = space._ranks
-        assert values == (0, Fraction(1, 2))
-        assert {ranks[p][q] for p in range(3) for q in range(3) if p != q} == {1}
+        assert space.values == (0, Fraction(1, 2))
+        assert {space.ranks[p][q] for p in range(3) for q in range(3) if p != q} == {1}
         assert space.within("1/2", strict=True) == (0b001, 0b010, 0b100)
         assert space.within("0.5") == (0b111, 0b111, 0b111)
         built = cc.build_space(space.labels, [[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]])
@@ -196,21 +199,90 @@ class TestHash:
         twin = cc.build_space(S3_LABELS, S3_MATRIX)
         assert hash(s3) == hash(twin) and s3 == twin
 
-    def test_pickle_carries_no_stale_hash(self, s3):
-        # Label hashes differ between processes, so a hash cached in one
-        # process must not travel with the pickle.
-        script = (
+    def test_pickle_carries_no_stale_hash(self):
+        # Label hashes differ between processes. Pickle under one hash seed,
+        # with the hash taken and within rows memoized; load under another
+        # and compare with a fresh build there.
+        build = f"cc.build_space({S3_LABELS!r}, {S3_MATRIX!r})"
+        dump = (
             "import pickle, sys, clustercert as cc\n"
-            f"s = cc.build_space({S3_LABELS!r}, {S3_MATRIX!r})\n"
-            "hash(s)\n"
+            f"s = {build}\n"
+            "s.within(1), s.within(2, strict=True), s.dist\n"
+            "print(hash(s), file=sys.stderr)\n"
             "sys.stdout.buffer.write(pickle.dumps(s))\n"
         )
-        env = {**os.environ, "PYTHONHASHSEED": "1"}
-        blob = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, check=True
-        ).stdout
-        clone = pickle.loads(blob)
-        assert clone == s3 and hash(clone) == hash(s3)
+        load = (
+            "import json, pickle, sys, clustercert as cc\n"
+            "s = pickle.loads(sys.stdin.buffer.read())\n"
+            f"fresh = {build}\n"
+            "rows = [(t.within(1), t.within(2, strict=True)) for t in (s, fresh)]\n"
+            "print(json.dumps([s == fresh, hash(s), hash(fresh), rows]))\n"
+        )
+
+        def run(script, seed, blob=b""):
+            env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed}
+            return subprocess.run(
+                [sys.executable, "-c", script], input=blob, env=env, capture_output=True, check=True
+            )
+
+        dumped = run(dump, "1")
+        equal, loaded_hash, fresh_hash, (loaded_rows, fresh_rows) = json.loads(
+            run(load, "2", dumped.stdout).stdout
+        )
+        assert equal and loaded_hash == fresh_hash and loaded_rows == fresh_rows
+        assert loaded_hash != int(dumped.stderr)  # the label hashes did change
+
+
+class TestPrinters:
+    @given(space=st.one_of(oracles.semimetric_spaces(), oracles.block_spaces()))
+    def test_match_the_per_cell_reference(self, space):
+        assert cc.dump_space(space) == oracles.dump_space(space)
+        assert cc.space_to_obj(space) == oracles.space_to_obj(space)
+
+    @given(space=oracles.semimetric_spaces(), data=st.data())
+    def test_any_spelling_prints_the_shortest_form(self, space, data):
+        def spellings(q):
+            text = cc.format_rational(q)
+            return [text, f"{q.numerator}/{q.denominator}", float(q)] + (
+                [text + "0"] if "." in text else []
+            )
+
+        dist = [[data.draw(st.sampled_from(spellings(q))) for q in row] for row in space.dist]
+        obj = json.loads(json.dumps({"labels": list(space.labels), "dist": dist}))
+        respelled = cc.space_from_obj(obj)
+        assert respelled == space
+        assert cc.dump_space(respelled) == oracles.dump_space(respelled) == cc.dump_space(space)
+        assert cc.space_to_obj(respelled) == oracles.space_to_obj(respelled)
+
+    @pytest.mark.parametrize(
+        "labels, dist",
+        [
+            ([], []),
+            (["a"], [["0"]]),
+            (["a"], [[0.0]]),
+            (["a", "b", "c"], [["0", "0.5", 0.5], ["1/2", 0, "0.50"], [0.5, "0.50", "0"]]),
+        ],
+        ids=["n0", "n1", "n1-float", "one-value-four-spellings"],
+    )
+    def test_small_and_respelled_tables(self, labels, dist):
+        space = cc.space_from_obj(json.loads(json.dumps({"labels": labels, "dist": dist})))
+        assert cc.dump_space(space) == oracles.dump_space(space)
+        assert cc.space_to_obj(space) == oracles.space_to_obj(space)
+
+    def test_each_distinct_value_is_formatted_once(self, monkeypatch):
+        base = cc.build_space(
+            ["x", "y", "z"], [["0", "0.5", "1/3"], ["0.5", "0", "2"], ["1/3", "2", "0"]]
+        )
+        w = cc.WeightedFiniteSpace(base=base, weights=("0.5", "0.3", "0.2"))
+        space = cc.uniformize(w, ((0,), (1,), (2,)), Fraction(1, 100))
+        assert space.n == 10 and len(space.values) == 4
+        calls = []
+        counted = cc.space.format_rational
+        monkeypatch.setattr(cc.space, "format_rational", lambda q: calls.append(q) or counted(q))
+        for printer in (cc.dump_space, cc.space_to_obj):
+            calls.clear()
+            printer(space)
+            assert len(calls) == len(space.values)
 
 
 class TestSubsetDiameter:

@@ -311,12 +311,11 @@ def dump_weighted_space(w: WeightedFiniteSpace) -> str:
 
 
 def load_weighted_space(text: str) -> WeightedFiniteSpace:
-    lines = [line for line in text.splitlines() if line.strip()]
-    space, rest = _parse_space_lines(lines)
+    space, rest = _parse_space_lines(text)
     if not rest:
         weights = [Fraction(1)] * space.n
     elif len(rest) == 1:
-        tokens = rest[0].split()
+        tokens = rest[0][1].split()
         if len(tokens) != space.n:
             raise SpaceFormatError(f"weights line: expected {space.n} weights, got {len(tokens)}")
         try:
@@ -324,7 +323,7 @@ def load_weighted_space(text: str) -> WeightedFiniteSpace:
         except ValueError as exc:
             raise SpaceFormatError(f"weights line: {exc}") from exc
     else:
-        raise SpaceFormatError(f"unexpected trailing content: {rest[1]!r}")
+        raise SpaceFormatError(f"unexpected trailing content: {rest[1][1]!r}")
     return WeightedFiniteSpace(base=space, weights=tuple(weights))
 
 

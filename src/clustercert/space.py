@@ -6,7 +6,10 @@ comparison (short/medium/long pairs, cluster diameters, separation) bisects
 once into the values and then compares ranks, so it is decided exactly.
 ``dist`` is a cached Fraction view of the table. Decimal text is the
 canonical lossless input form; binary floats are converted bit-exactly, never
-rounded through a repr round trip. Each distinct token is parsed once.
+rounded through a repr round trip. A table is read straight to ranks: each
+row becomes first-seen ids as it is read (strings keyed by text, other cells
+by identity), each distinct cell is parsed once (a plain decimal such as 0.25
+from its digits), one sort ranks the values, and rows are checked against columns.
 
 A space carries the uniform counting measure: the measure of a point subset
 is its cardinality. The triangle inequality is *not* required ("semimetric");
@@ -16,9 +19,11 @@ that are supposed to be genuine metrics.
 from __future__ import annotations
 
 import decimal
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -37,6 +42,9 @@ __all__ = [
     "space_to_obj",
     "space_from_obj",
 ]
+
+# At most 600 digits in all: under any limit Python sets on reading an int from text (>= 640).
+_PLAIN_DECIMAL = re.compile(r"[0-9]{1,300}(?:\.[0-9]{1,300})?")
 
 
 class SpaceFormatError(ValueError):
@@ -284,8 +292,26 @@ def build_space(
     checks the triangle inequality (off by default: semimetric inputs are
     legal and some natural instances are not metrics).
     """
-    labels = tuple(str(x) for x in labels)
+    labels = _checked_labels(labels)
     n = len(labels)
+    if len(matrix) != n:
+        raise SpaceFormatError(f"expected {n} matrix rows, got {len(matrix)}")
+    # A string cell is keyed by its text, any other by id(); ``firsts`` keeps it alive.
+    ids, firsts, rows = {}, {}, []
+    for i, row in enumerate(matrix):
+        entries = list(row)
+        if len(entries) != n:
+            _reject_cells(firsts, n)  # a bad cell in an earlier row comes first
+            raise SpaceFormatError(f"ragged matrix: row {i} has {len(entries)} entries, expected {n}")
+        keys = [v if v.__class__ is str else id(v) for v in entries]
+        rows.append(list(map(ids.setdefault, keys, range(i * n, i * n + n))))
+        firsts.update(zip(rows[-1], entries))
+    return _ranked_space(labels, firsts, rows, require_metric)
+
+
+def _checked_labels(labels: Sequence) -> tuple[str, ...]:
+    """The labels as strings; SpaceFormatError for an empty, spaced or repeated one."""
+    labels = tuple(str(x) for x in labels)
     seen: set[str] = set()
     for idx, label in enumerate(labels):
         if not label or label.split() != [label]:
@@ -293,52 +319,67 @@ def build_space(
         if label in seen:
             raise SpaceFormatError(f"duplicate label {label!r}")
         seen.add(label)
-    if len(matrix) != n:
-        raise SpaceFormatError(f"expected {n} matrix rows, got {len(matrix)}")
-    tokens: dict[str, Fraction] = {}  # each distinct string cell is parsed and checked once
-    rows: list[tuple[Fraction, ...]] = []
-    for i, row in enumerate(matrix):
-        entries = list(row)
-        if len(entries) != n:
-            raise SpaceFormatError(f"ragged matrix: row {i} has {len(entries)} entries, expected {n}")
-        parsed = []
-        for j, value in enumerate(entries):
-            q = tokens.get(value) if isinstance(value, str) else None
-            if q is None:
-                try:
-                    q = as_fraction(value)
-                except (ValueError, TypeError) as exc:
-                    raise SpaceFormatError(f"bad distance at ({i},{j}): {exc}") from exc
-                if q < 0:
-                    raise SpaceFormatError(f"negative entry at ({i},{j}): {format_rational(q)}")
-                if isinstance(value, str):
-                    tokens[value] = q
-            parsed.append(q)
-        rows.append(tuple(parsed))
-    # Keyed by identity (parsed tokens share one Fraction each), then by
-    # integer ratio, never by the slower Fraction hash. Sorted on
-    # floor(q * 2^64) first, so most comparisons are int ones.
-    cells = {id(q): q for row in rows for q in row}
-    distinct = {q.as_integer_ratio(): q for q in cells.values()}.values()
-    values = tuple(sorted(distinct, key=lambda q: ((q.numerator << 64) // q.denominator, q)))
-    place = {q.as_integer_ratio(): i for i, q in enumerate(values)}
-    rank = {key: place[q.as_integer_ratio()] for key, q in cells.items()}
-    ranks = tuple(tuple(map(rank.__getitem__, map(id, row))) for row in rows)
-    for i, row in enumerate(ranks):
-        if values[row[i]] != 0:
-            raise SpaceFormatError(f"nonzero diagonal at ({i},{i}): {format_rational(values[row[i]])}")
-        for j in range(i + 1, n):
-            if row[j] != ranks[j][i]:
-                raise SpaceFormatError(f"asymmetric at ({i},{j})")
+    return labels
+
+
+def _parse_cell(cell) -> Fraction:
+    """``as_fraction(cell)``; a plain ASCII decimal such as "12" or "0.25" is
+    read straight from its digits into the Fraction its text denotes."""
+    if cell.__class__ is not str or not _PLAIN_DECIMAL.fullmatch(cell):
+        return as_fraction(cell)
+    whole, _, frac = cell.partition(".")
+    return Fraction(int(whole + frac), 10 ** len(frac))
+
+
+def _reject_cells(firsts: dict, n: int) -> None:
+    """Raise for the first bad or negative cell, row-major, of those in ``firsts``."""
+    for first, cell in firsts.items():
+        i, j = divmod(first, n)
+        try:
+            q = _parse_cell(cell)
+        except (ValueError, TypeError) as exc:
+            raise SpaceFormatError(f"bad distance at ({i},{j}): {exc}") from exc
+        if q < 0:
+            raise SpaceFormatError(f"negative entry at ({i},{j}): {format_rational(q)}")
+
+
+def _ranked_space(labels, firsts: dict, rows: list, require_metric: bool = False) -> FiniteSemimetricSpace:
+    """The space whose cell (i, j) is ``firsts[rows[i][j]]``; ``firsts`` maps the
+    flat index i*n + j of each distinct cell's first occurrence to that cell."""
+    n = len(labels)
+    try:
+        parsed = list(map(_parse_cell, firsts.values()))
+    except (ValueError, TypeError):
+        _reject_cells(firsts, n)  # names the first bad or negative cell
+        raise
+    # Merged by integer ratio, not the slower Fraction hash; int keys decide most comparisons.
+    ratios = [q.as_integer_ratio() for q in parsed]
+    values = tuple(sorted(dict(zip(ratios, parsed)).values(), key=lambda q: ((q.numerator << 64) // q.denominator, q)))
+    if values and values[0] < 0:
+        _reject_cells(firsts, n)
+    place = {q.as_integer_ratio(): rank for rank, q in enumerate(values)}
+    perm = dict(zip(firsts, map(place.__getitem__, ratios)))
+    for i, row in enumerate(rows):  # in place: one table of ids or ranks at a time
+        rows[i] = tuple(map(perm.__getitem__, row))
+    ranks = tuple(rows)
+    # Symmetric iff each row equals its column; zip yields one column at a time.
+    if any(values[row[i]] for i, row in enumerate(ranks)) or not all(map(tuple.__eq__, ranks, zip(*ranks))):
+        for i, row in enumerate(ranks):
+            if values[row[i]] != 0:
+                raise SpaceFormatError(f"nonzero diagonal at ({i},{i}): {format_rational(values[row[i]])}")
+            for j in range(i + 1, n):
+                if row[j] != ranks[j][i]:
+                    raise SpaceFormatError(f"asymmetric at ({i},{j})")
     if require_metric:
+        rho = [list(map(values.__getitem__, row)) for row in ranks]
         for i in range(n):
             for j in range(i + 1, n):
                 for via in range(n):
-                    if rows[i][j] > rows[i][via] + rows[via][j]:
+                    if rho[i][j] > rho[i][via] + rho[via][j]:
                         raise SpaceFormatError(
                             f"triangle violation at ({i},{j}) via {via}: "
-                            f"{format_rational(rows[i][j])} > "
-                            f"{format_rational(rows[i][via] + rows[via][j])}"
+                            f"{format_rational(rho[i][j])} > "
+                            f"{format_rational(rho[i][via] + rho[via][j])}"
                         )
     return FiniteSemimetricSpace(labels, values, ranks)
 
@@ -373,44 +414,49 @@ def dump_space(space: FiniteSemimetricSpace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_space_lines(lines: list[str]) -> tuple[FiniteSemimetricSpace, list[str]]:
-    """Parse the leading space block; return it plus any remaining lines."""
-    if not lines:
+def _parse_space_lines(text: str) -> tuple[FiniteSemimetricSpace, list[tuple[int, str]]]:
+    """Parse the leading space block of ``text``; return it plus the remaining
+    non-blank lines as (line number in the file, line) pairs. Each row becomes
+    cell ids as it is read, so the n^2 tokens are never held at once."""
+    lines = ((no, line) for no, line in enumerate(text.splitlines(), 1) if line.strip())
+    no, line = next(lines, (1, None))
+    if line is None:
         raise SpaceFormatError("line 1: missing point count")
     try:
-        n = int(lines[0].strip())
+        n = int(line.strip())
     except ValueError as exc:
-        raise SpaceFormatError(f"line 1: point count is not an integer: {lines[0]!r}") from exc
+        raise SpaceFormatError(f"line {no}: point count is not an integer: {line!r}") from exc
     if n < 0:
-        raise SpaceFormatError(f"line 1: negative point count {n}")
+        raise SpaceFormatError(f"line {no}: negative point count {n}")
     if n == 0:
-        return build_space([], []), lines[1:]
-    if len(lines) < 2:
-        raise SpaceFormatError("line 2: missing label line")
-    labels = lines[1].split()
+        return build_space([], []), list(lines)
+    no, line = next(lines, (no + 1, None))
+    if line is None:
+        raise SpaceFormatError(f"line {no}: missing label line")
+    labels = line.split()
     if len(labels) != n:
-        raise SpaceFormatError(f"line 2: expected {n} labels, got {len(labels)}")
-    if len(lines) < 2 + n:
-        raise SpaceFormatError(f"expected {n} distance rows, file ends after {len(lines) - 2}")
-    matrix = []
-    for i in range(n):
-        tokens = lines[2 + i].split()
+        raise SpaceFormatError(f"line {no}: expected {n} labels, got {len(labels)}")
+    table = list(islice(lines, n))
+    if len(table) < n:
+        raise SpaceFormatError(f"expected {n} distance rows, file ends after {len(table)}")
+    ids: dict[str, int] = {}  # token -> flat index i*n + j of its first cell
+    for i, (no, line) in enumerate(table):
+        tokens = line.split()
         if len(tokens) != n:
-            raise SpaceFormatError(f"line {3 + i}: expected {n} distances, got {len(tokens)}")
-        matrix.append(tokens)
+            raise SpaceFormatError(f"line {no}: expected {n} distances, got {len(tokens)}")
+        table[i] = list(map(ids.setdefault, tokens, range(i * n, i * n + n)))
     try:
-        space = build_space(labels, matrix)
+        space = _ranked_space(_checked_labels(labels), dict(zip(ids.values(), ids)), table)
     except SpaceFormatError as exc:
         raise SpaceFormatError(f"distance table: {exc}") from exc
-    return space, lines[2 + n :]
+    return space, list(lines)
 
 
 def load_space(text: str) -> FiniteSemimetricSpace:
     """Parse the text space format, rejecting trailing junk."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    space, rest = _parse_space_lines(lines)
+    space, rest = _parse_space_lines(text)
     if rest:
-        raise SpaceFormatError(f"unexpected trailing content: {rest[0]!r}")
+        raise SpaceFormatError(f"unexpected trailing content: {rest[0][1]!r}")
     return space
 
 

@@ -11,6 +11,8 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+# A deeper run of the same properties: pytest --hypothesis-profile=thorough
+settings.register_profile("thorough", settings.get_profile("suite"), max_examples=1000)
 settings.load_profile("suite")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from hypothesis import strategies as st
 
@@ -19,7 +20,15 @@ from clustercert.generators import (
     random_metric_instance,
     tight_instance,
 )
-from clustercert.space import FiniteSemimetricSpace, ScaleParams, _is_int, build_space, format_rational
+from clustercert.space import (
+    FiniteSemimetricSpace,
+    ScaleParams,
+    SpaceFormatError,
+    _is_int,
+    as_fraction,
+    build_space,
+    format_rational,
+)
 
 PALETTE = [
     Fraction(0),
@@ -310,3 +319,130 @@ def block_spaces(draw):
     sizes = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
     noise = Fraction(draw(st.integers(0, 9)), 10)
     return planted_instance(k, sizes, noise, 1, draw(st.integers(0, 2**31)))
+
+
+# ---------------------------------------------------------------------------
+# The text and table parsers before tables were parsed straight to ranks,
+# kept verbatim as the reference for the current ones.
+# ---------------------------------------------------------------------------
+
+def reference_build_space(
+    labels: Sequence[str],
+    matrix: Sequence[Sequence],
+    *,
+    require_metric: bool = False,
+) -> FiniteSemimetricSpace:
+    """``space.build_space`` as it was before tables were parsed straight to
+    ranks: every cell is parsed and sign-checked in row-major order.
+
+    Validate a label list and distance table into a space.
+
+    Rejections name the offending cell: asymmetry, negative entries, nonzero
+    diagonal, and ragged rows are all errors. ``require_metric`` additionally
+    checks the triangle inequality (off by default: semimetric inputs are
+    legal and some natural instances are not metrics).
+    """
+    labels = tuple(str(x) for x in labels)
+    n = len(labels)
+    seen: set[str] = set()
+    for idx, label in enumerate(labels):
+        if not label or label.split() != [label]:
+            raise SpaceFormatError(f"label {idx} is empty or contains whitespace: {label!r}")
+        if label in seen:
+            raise SpaceFormatError(f"duplicate label {label!r}")
+        seen.add(label)
+    if len(matrix) != n:
+        raise SpaceFormatError(f"expected {n} matrix rows, got {len(matrix)}")
+    tokens: dict[str, Fraction] = {}  # each distinct string cell is parsed and checked once
+    rows: list[tuple[Fraction, ...]] = []
+    for i, row in enumerate(matrix):
+        entries = list(row)
+        if len(entries) != n:
+            raise SpaceFormatError(f"ragged matrix: row {i} has {len(entries)} entries, expected {n}")
+        parsed = []
+        for j, value in enumerate(entries):
+            q = tokens.get(value) if isinstance(value, str) else None
+            if q is None:
+                try:
+                    q = as_fraction(value)
+                except (ValueError, TypeError) as exc:
+                    raise SpaceFormatError(f"bad distance at ({i},{j}): {exc}") from exc
+                if q < 0:
+                    raise SpaceFormatError(f"negative entry at ({i},{j}): {format_rational(q)}")
+                if isinstance(value, str):
+                    tokens[value] = q
+            parsed.append(q)
+        rows.append(tuple(parsed))
+    # Keyed by identity (parsed tokens share one Fraction each), then by
+    # integer ratio, never by the slower Fraction hash. Sorted on
+    # floor(q * 2^64) first, so most comparisons are int ones.
+    cells = {id(q): q for row in rows for q in row}
+    distinct = {q.as_integer_ratio(): q for q in cells.values()}.values()
+    values = tuple(sorted(distinct, key=lambda q: ((q.numerator << 64) // q.denominator, q)))
+    place = {q.as_integer_ratio(): i for i, q in enumerate(values)}
+    rank = {key: place[q.as_integer_ratio()] for key, q in cells.items()}
+    ranks = tuple(tuple(map(rank.__getitem__, map(id, row))) for row in rows)
+    for i, row in enumerate(ranks):
+        if values[row[i]] != 0:
+            raise SpaceFormatError(f"nonzero diagonal at ({i},{i}): {format_rational(values[row[i]])}")
+        for j in range(i + 1, n):
+            if row[j] != ranks[j][i]:
+                raise SpaceFormatError(f"asymmetric at ({i},{j})")
+    if require_metric:
+        for i in range(n):
+            for j in range(i + 1, n):
+                for via in range(n):
+                    if rows[i][j] > rows[i][via] + rows[via][j]:
+                        raise SpaceFormatError(
+                            f"triangle violation at ({i},{j}) via {via}: "
+                            f"{format_rational(rows[i][j])} > "
+                            f"{format_rational(rows[i][via] + rows[via][j])}"
+                        )
+    return FiniteSemimetricSpace(labels, values, ranks)
+
+
+
+def reference_parse_space_lines(lines: list[str]) -> tuple[FiniteSemimetricSpace, list[str]]:
+    """Parse the leading space block; return it plus any remaining lines."""
+    if not lines:
+        raise SpaceFormatError("line 1: missing point count")
+    try:
+        n = int(lines[0].strip())
+    except ValueError as exc:
+        raise SpaceFormatError(f"line 1: point count is not an integer: {lines[0]!r}") from exc
+    if n < 0:
+        raise SpaceFormatError(f"line 1: negative point count {n}")
+    if n == 0:
+        return reference_build_space([], []), lines[1:]
+    if len(lines) < 2:
+        raise SpaceFormatError("line 2: missing label line")
+    labels = lines[1].split()
+    if len(labels) != n:
+        raise SpaceFormatError(f"line 2: expected {n} labels, got {len(labels)}")
+    if len(lines) < 2 + n:
+        raise SpaceFormatError(f"expected {n} distance rows, file ends after {len(lines) - 2}")
+    matrix = []
+    for i in range(n):
+        tokens = lines[2 + i].split()
+        if len(tokens) != n:
+            raise SpaceFormatError(f"line {3 + i}: expected {n} distances, got {len(tokens)}")
+        matrix.append(tokens)
+    try:
+        space = reference_build_space(labels, matrix)
+    except SpaceFormatError as exc:
+        raise SpaceFormatError(f"distance table: {exc}") from exc
+    return space, lines[2 + n :]
+
+
+
+def reference_load_space(text: str) -> FiniteSemimetricSpace:
+    """``space.load_space`` as it was before tables were parsed straight to
+    ranks. It drops blank lines before numbering them.
+
+    Parse the text space format, rejecting trailing junk."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    space, rest = reference_parse_space_lines(lines)
+    if rest:
+        raise SpaceFormatError(f"unexpected trailing content: {rest[0]!r}")
+    return space
+

@@ -4,14 +4,17 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import clustercert as cc
+from clustercert.generators import load_weighted_space
 from clustercert.space import SpaceFormatError
 
 import oracles
@@ -369,6 +372,222 @@ class TestFileFormat:
     def test_round_trip_any_space(self, space):
         assert cc.load_space(cc.dump_space(space)) == space
 
+
+
+# ---------------------------------------------------------------------------
+# The parsers against their verbatim predecessors in ``oracles``.
+# ---------------------------------------------------------------------------
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+TABLE_VALUES = [Fraction(x) for x in ("0", "1/2", "1", "3/2", "7/10", "1/3", "5/4", "12", "100", "1234567.0625")]
+BAD_TOKENS = ["x", "1e", "1/0", "--1", "0x10", "nan", "inf", "½", "1..2", "1/2/3", "٣x"]
+BAD_CELLS = [True, False, None, float("nan"), float("inf"), [], "x", " 1/0 "]
+
+
+def spellings(q: Fraction) -> list[str]:
+    """Texts that ``as_fraction`` reads as q >= 0, none with whitespace."""
+    text = cc.format_rational(q)
+    out = [text, f"{q.numerator}/{q.denominator}", f"{3 * q.numerator}/{3 * q.denominator}", "+" + text]
+    out.append(text.translate(ARABIC_INDIC))
+    if "/" in text:
+        return out
+    whole, _, frac = text.partition(".")
+    out += ["0" + text, f"{whole}.{frac}0", f"{int(whole + frac)}e-{len(frac)}"]
+    if whole == "0" and frac:
+        out.append("." + frac)
+    if not frac:
+        out += [text + ".", "-" + text if q == 0 else text + "e0"]
+        if len(text) > 1:
+            out.append(text[0] + "_" + text[1:])
+    return out
+
+
+def text_cells(q: Fraction):
+    return st.sampled_from(spellings(q))
+
+
+@st.composite
+def object_cells(draw, q: Fraction):
+    """q as a JSON int, float or string, a Fraction, a Decimal or a padded string."""
+    kinds = [Fraction(q), q, draw(text_cells(q)), f" {draw(text_cells(q))}\t"]
+    if q.denominator == 1:
+        kinds.append(int(q))
+    if q.denominator & (q.denominator - 1) == 0:  # a power of two: an exact float
+        kinds.append(float(q))
+    if "/" not in cc.format_rational(q):
+        kinds.append(Decimal(cc.format_rational(q)))
+    return draw(st.sampled_from(kinds))
+
+
+@st.composite
+def corrupted_tables(draw, text: bool):
+    """(labels, cells): a symmetric table of spelled values, then up to two
+    faults: a bad or negative cell, a nonzero diagonal, an asymmetric pair,
+    a ragged row, a missing or extra row, or a repeated label."""
+    n = draw(st.integers(0, 5))
+    cell = text_cells if text else object_cells
+    values = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            values[i][j] = values[j][i] = draw(st.sampled_from(TABLE_VALUES[1:]))
+    table = [[draw(cell(q)) for q in row] for row in values]
+    labels = [f"p{i}" for i in range(n)]
+    faults = ["bad", "negative", "diagonal", "asymmetric", "label", "ragged", "rows"]  # applied in this order
+    for fault in sorted(draw(st.lists(st.sampled_from(faults), max_size=2)) if n else (), key=faults.index):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        positive = draw(st.sampled_from(TABLE_VALUES[1:]))
+        if fault == "bad":
+            table[i][j] = draw(st.sampled_from(BAD_TOKENS if text else BAD_TOKENS + BAD_CELLS))
+        elif fault == "negative":
+            table[i][j] = "-" + draw(text_cells(positive)) if text else -positive
+            if draw(st.booleans()):
+                table[j][i] = table[i][j]
+        elif fault == "diagonal":
+            table[i][i] = draw(cell(positive))
+        elif fault == "asymmetric" and i != j:
+            table[i][j] = draw(cell(values[i][j] + positive))
+        elif fault == "ragged":
+            # Never an empty text row: a blank line is skipped, and only the old parser misnumbers after it.
+            shorter = draw(st.booleans()) and (len(table[i]) > 1 or not text)
+            table[i] = table[i][:-1] if shorter else table[i] + [draw(cell(positive))]
+        elif fault == "rows":
+            table = table + [list(table[0])] if table and draw(st.booleans()) else table[:-1]
+        elif fault == "label" and i != j:
+            labels[i] = labels[j]
+    return labels, table
+
+
+def outcome(parse, *args):
+    """The parsed space's fields, or the message of its SpaceFormatError."""
+    try:
+        space = parse(*args)
+    except SpaceFormatError as exc:
+        return str(exc)
+    assert all(type(q) is Fraction for q in space.values)
+    return space.labels, space.values, space.ranks
+
+
+class TestParserEquivalence:
+    """``load_space`` and ``build_space`` return the space their verbatim
+    predecessors return, or fail with the identical message."""
+
+    @given(table=corrupted_tables(text=True), gaps=st.lists(st.sampled_from([" ", "  ", "\t"]), min_size=1),
+           trailing=st.sampled_from(["", "extra\n", "0 1\n"]))
+    @example(table=(["p0", "p0"], [["0", "1"], ["1"]]), gaps=[" "], trailing="")  # a short row before the label
+    def test_text_tables(self, table, gaps, trailing):
+        labels, cells = table
+        rows = [" ".join(labels)] + [gaps[i % len(gaps)].join(row) for i, row in enumerate(cells)]
+        text = f"{len(labels)}\n" + "\n".join(rows) + "\n" + trailing
+        assert outcome(cc.load_space, text) == outcome(oracles.reference_load_space, text)
+
+    @given(table=corrupted_tables(text=False))
+    @example(table=(["p0", "p1"], [["0", "x"], ["x"]]))  # a bad cell before a ragged row
+    @example(table=(["p0", "p1"], [[0, -1], [-1, 0, 0]]))  # a negative cell before a ragged row
+    def test_object_tables(self, table):
+        labels, cells = table
+        assert outcome(cc.build_space, labels, cells) == outcome(oracles.reference_build_space, labels, cells)
+
+    @pytest.mark.parametrize("token", ["0.50", "1/2", "5e-1", "+0.5", ".5", "5.", "1_0", "٣", "٠.٥", "007", "-0"])
+    def test_each_spelling(self, token):
+        for text in (f"2\na b\n0 {token}\n{token} 0\n", f"2\na b\n0 {token}\n0.5 0\n"):
+            assert outcome(cc.load_space, text) == outcome(oracles.reference_load_space, text)
+        cells = [[0, f" {token} "], [Fraction(1, 2), 0]]
+        assert outcome(cc.build_space, ["a", "b"], cells) == outcome(oracles.reference_build_space, ["a", "b"], cells)
+
+    def test_true_never_merges_with_one(self):
+        for cells in ([[0, 1], [True, 0]], [[0, True], [1, 0]], [[0, 1.0], [1, 0]]):
+            assert outcome(cc.build_space, "ab", cells) == outcome(oracles.reference_build_space, "ab", cells)
+        assert cc.build_space("ab", [[0, 1.0], [1, 0]]).values == (0, 1)
+
+    def test_generated_rows_keep_their_cells(self):
+        # Cells keyed by id() stay alive, so a fresh Fraction never takes the id of a freed one.
+        labels = [f"p{i}" for i in range(6)]
+        rows = [map(Fraction, [abs(i - j) for j in range(6)], [7] * 6) for i in range(6)]
+        space = cc.build_space(labels, rows)
+        assert space.dist == tuple(tuple(Fraction(abs(i - j), 7) for j in range(6)) for i in range(6))
+
+
+class TestPlainDecimal:
+    """Plain ASCII decimals skip ``Fraction``'s string parser but give its value."""
+
+    @given(token=st.from_regex(r"[0-9]{1,40}(\.[0-9]{1,40})?", fullmatch=True))
+    def test_equals_the_fraction_parser(self, token):
+        assert cc.space._PLAIN_DECIMAL.fullmatch(token)  # so _parse_cell reads the digits itself
+        q = cc.space._parse_cell(token)
+        assert type(q) is Fraction and q.as_integer_ratio() == Fraction(token).as_integer_ratio()
+
+    @given(token=st.text(st.sampled_from("0123456789.٣３²+-_e/ "), max_size=12))
+    def test_any_token_reads_as_as_fraction_reads_it(self, token):
+        def read(parse):
+            try:
+                return parse(token).as_integer_ratio()
+            except ValueError as exc:
+                return str(exc)
+
+        assert read(cc.space._parse_cell) == read(cc.as_fraction)
+
+    @pytest.mark.parametrize("token", ["0", "000", "0.0", "1.50", "9" * 300, "1." + "0" * 299 + "1", "9" * 300 + "." + "9" * 300])
+    def test_accepted_extremes(self, token, monkeypatch):
+        monkeypatch.setattr(cc.space, "as_fraction", self._refuse)
+        assert cc.space._parse_cell(token) == Fraction(token)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["٣", "١.٥", "３", "1.٥", "²", "1_0", "+1", "1.", ".5", "5e-1", "1/2", " 1", "1 ", "9" * 301, "1." + "0" * 301],
+    )
+    def test_other_spellings_go_to_as_fraction(self, token, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cc.space, "as_fraction", lambda cell: seen.append(cell) or Fraction(7))
+        assert cc.space._parse_cell(token) == Fraction(7) and seen == [token]
+
+    def test_long_plain_tokens_keep_the_message(self):
+        text = "1\na\n" + "1" * 5000 + "\n"  # beyond Python's default int-from-text limit
+        assert outcome(cc.load_space, text) == outcome(oracles.reference_load_space, text)
+
+    @staticmethod
+    def _refuse(cell):
+        raise AssertionError(f"{cell!r} left the plain-decimal path")
+
+
+class TestBlankLines:
+    """Errors name the file's own line, blank lines included."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2\n\na b\n0 1\n1\n", "line 5: expected 2 distances, got 1"),
+            ("2\na b\n\n\n0 1\n1 0 3\n", "line 6: expected 2 distances, got 3"),
+            ("\n\nmany\n", "line 3: point count is not an integer: 'many'"),
+            ("\n-1\n", "line 2: negative point count -1"),
+            ("\n2\n", "line 3: missing label line"),
+            ("2\n\n  \na\n", "line 4: expected 2 labels, got 1"),
+            ("\n\n", "line 1: missing point count"),
+        ],
+    )
+    def test_the_file_line_is_named(self, text, message):
+        for load in (cc.load_space, load_weighted_space):
+            with pytest.raises(SpaceFormatError) as info:
+                load(text)
+            assert str(info.value) == message
+
+    def test_blank_lines_between_rows_parse(self):
+        assert cc.load_space("\n2\n\na b\n0 1\n\n1 0\n\n") == cc.load_space("2\na b\n0 1\n1 0\n")
+
+
+def test_load_space_peak_memory_is_at_most_60_percent_of_the_reference():
+    """The text is mapped to ranks row by row: all n^2 tokens are never held."""
+    space = cc.planted_instance(3, [54, 53, 53], Fraction(1, 100), 1, seed=160)
+    text = cc.dump_space(space)
+    peaks = {}
+    for name, load in (("reference", oracles.reference_load_space), ("load_space", cc.load_space)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert load(text) == space
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["load_space"] <= 0.6 * peaks["reference"], peaks
 
 @pytest.mark.parametrize(
     "value,expected",

@@ -3,7 +3,9 @@ and the weighted-to-uniform discretization.
 
 Every generator is deterministic for a fixed seed and emits exact rational
 distances, so generated instances round-trip through the space file format
-bit-for-bit.
+bit-for-bit. Each draws or computes its distances as ints on a grid (units
+of r / 1000, half-units of r, or base ranks) and builds the space straight
+from that grid, so no cell is parsed.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ from .space import (
     Record,
     SpaceFormatError,
     _bits,
+    _grid_space,
     _is_int,
     _parse_space_lines,
     _positive_order,
@@ -25,7 +28,6 @@ from .space import (
     build_space,
     dump_space,
     format_rational,
-    set_distance,
     space_from_obj,
     space_to_obj,
 )
@@ -78,25 +80,15 @@ class TightInstanceSpec(Record):
 def _blocks(prefix: str, sizes: Sequence[int]) -> tuple[list[str], list[int]]:
     """Labels ``{prefix}{b}_{t}`` for point t of block b, block after block,
     and the block index of each point."""
-    labels = []
-    block_of = []
-    for b, size in enumerate(sizes):
-        for t in range(size):
-            labels.append(f"{prefix}{b}_{t}")
-            block_of.append(b)
-    return labels, block_of
+    labels = [f"{prefix}{b}_{t}" for b, size in enumerate(sizes) for t in range(size)]
+    return labels, [b for b, size in enumerate(sizes) for _ in range(size)]
 
 
 def tight_instance(spec: TightInstanceSpec) -> FiniteSemimetricSpace:
     """Materialize the block witness described by ``spec``."""
     labels, block_of = _blocks("b", [spec.m0] + [spec.m] * spec.k)
-    r = spec.r
-    far = 4 * r
-    matrix = [
-        [Fraction(0) if i == j else r if a == b else far for j, b in enumerate(block_of)]
-        for i, a in enumerate(block_of)
-    ]
-    return build_space(labels, matrix)
+    grid = [[0 if i == j else 1 if a == b else 4 for j, b in enumerate(block_of)] for i, a in enumerate(block_of)]
+    return _grid_space(labels, grid, spec.r.__mul__)
 
 
 def _rng(seed) -> random.Random:
@@ -134,26 +126,17 @@ def planted_instance(
     rng = _rng(seed)
     labels, block_of = _blocks("b", sizes)
     n = len(labels)
-
-    def short() -> Fraction:
-        return r * Fraction(rng.randint(1, _RESOLUTION), _RESOLUTION)
-
-    def long() -> Fraction:
-        return 3 * r + 2 * r * Fraction(rng.randint(1, _RESOLUTION), _RESOLUTION)
-
-    def medium() -> Fraction:
-        return r + 2 * r * Fraction(rng.randint(1, _RESOLUTION), _RESOLUTION)
-
-    dist = [[Fraction(0)] * n for _ in range(n)]
+    # Cells count units of r / _RESOLUTION. For x drawn from 1.._RESOLUTION, and r = _RESOLUTION units,
+    # a short cell is x, a long one 3r + 2x and a re-drawn medium one r + 2x.
+    grid = [[0] * n for _ in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for i, j in pairs:
-        d = short() if block_of[i] == block_of[j] else long()
-        dist[i][j] = dist[j][i] = d
+        x = rng.randint(1, _RESOLUTION)
+        grid[i][j] = grid[j][i] = x if block_of[i] == block_of[j] else 3 * _RESOLUTION + 2 * x
     redraw_count = int(noise * len(pairs))  # floor: noise is a non-negative Fraction
     for i, j in sorted(rng.sample(pairs, redraw_count)):
-        d = medium()
-        dist[i][j] = dist[j][i] = d
-    return build_space(labels, dist)
+        grid[i][j] = grid[j][i] = _RESOLUTION + 2 * rng.randint(1, _RESOLUTION)
+    return _grid_space(labels, grid, (r / _RESOLUTION).__mul__)
 
 
 def random_metric_instance(n: int, r, seed: int) -> FiniteSemimetricSpace:
@@ -163,7 +146,8 @@ def random_metric_instance(n: int, r, seed: int) -> FiniteSemimetricSpace:
     the exact min-plus closure (all-pairs shortest paths), which enforces the
     triangle inequality while keeping plenty of short/medium/long variety.
     The closure runs on integer half-units: it commutes with scaling by
-    r/2 > 0, so each cell is converted to r * h / 2 once, at the end.
+    r/2 > 0, so the int grid becomes the space directly, and only its
+    distinct half-unit counts h are turned into the distances r * h / 2.
     """
     if not _is_int(n) or n < 0:
         raise ValueError(f"point count must be a non-negative integer, got {n!r}")
@@ -176,10 +160,8 @@ def random_metric_instance(n: int, r, seed: int) -> FiniteSemimetricSpace:
     for via in range(n):
         row_via = half[via]
         for row in half:
-            d = row[via]
-            row[:] = [min(h, d + h_via) for h, h_via in zip(row, row_via)]
-    dist = [[r * h / 2 for h in row] for row in half]
-    return build_space([f"p{i}" for i in range(n)], dist)
+            row[:] = map(min, row, map(row[via].__add__, row_via))
+    return _grid_space([f"p{i}" for i in range(n)], half, (r / 2).__mul__)
 
 
 def space_from_points(points: Sequence[Sequence], *, metric: str = "l1") -> FiniteSemimetricSpace:
@@ -270,17 +252,10 @@ def uniformize(
         raise ValueError("partition must consist of non-empty disjoint parts covering all points")
     measures = [sum((w.weights[p] for p in part), Fraction(0)) for part in parts]
 
-    scale = 1
-    power = 0
-    while True:
-        truncated = [Fraction(int(mu * scale), scale) for mu in measures]
-        if all(q >= (1 - eps) * mu for q, mu in zip(truncated, measures)):
-            break
+    scale = 1  # q_i = floor(mu_i * scale) / scale; the error is below 1 / scale, so the loop ends
+    while not all(int(mu * scale) >= (1 - eps) * mu * scale for mu in measures):
         scale *= 10
-        power += 1
-        if power > 10_000:  # unreachable: truncation error shrinks as 10^-power
-            raise RuntimeError("weight truncation failed to converge")
-    numerators = [int(q * scale) for q in truncated]
+    numerators = [int(mu * scale) for mu in measures]
 
     g = math.gcd(*numerators)
     multiplicities = [a // g for a in numerators]
@@ -290,15 +265,15 @@ def uniformize(
             f"uniformized space needs {total} points, above the cap of {max_total_multiplicity}"
         )
 
-    cross = [[Fraction(0)] * len(parts) for _ in range(len(parts))]
-    for i in range(len(parts)):
+    # Base ranks: the least across two parts, and rank 0 (distance 0) inside one.
+    cross = [[0] * len(parts) for _ in parts]
+    for i, a in enumerate(parts):
         for j in range(i + 1, len(parts)):
-            d = set_distance(space, parts[i], parts[j])
-            cross[i][j] = cross[j][i] = d
+            cross[i][j] = cross[j][i] = min(space.ranks[u][v] for u in a for v in parts[j])
 
-    # The diagonal of ``cross`` is 0, the distance inside a block.
     labels, block_of = _blocks("a", multiplicities)
-    return build_space(labels, [[cross[a][b] for b in block_of] for a in block_of])
+    rows = [list(map(row.__getitem__, block_of)) for row in cross]  # one row per block, shared by its points
+    return _grid_space(labels, [rows[a] for a in block_of], space.values.__getitem__)
 
 
 # ---------------------------------------------------------------------------

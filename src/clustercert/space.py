@@ -10,6 +10,8 @@ rounded through a repr round trip. A table is read straight to ranks: each
 row becomes first-seen ids as it is read (strings keyed by text, other cells
 by identity), each distinct cell is parsed once (a plain decimal such as 0.25
 from its digits), one sort ranks the values, and rows are checked against columns.
+Generated tables skip parsing: ``_grid_space`` ranks a symmetric int grid
+through its sorted distinct ints and maps only those to Fractions.
 
 A space carries the uniform counting measure: the measure of a point subset
 is its cardinality. The triangle inequality is *not* required ("semimetric");
@@ -355,23 +357,13 @@ def _ranked_space(labels, firsts: dict, rows: list, require_metric: bool = False
     # Merged by integer ratio, not the slower Fraction hash; int keys decide most comparisons.
     ratios = [q.as_integer_ratio() for q in parsed]
     values = tuple(sorted(dict(zip(ratios, parsed)).values(), key=lambda q: ((q.numerator << 64) // q.denominator, q)))
-    if values and values[0] < 0:
-        _reject_cells(firsts, n)
     place = {q.as_integer_ratio(): rank for rank, q in enumerate(values)}
     perm = dict(zip(firsts, map(place.__getitem__, ratios)))
     for i, row in enumerate(rows):  # in place: one table of ids or ranks at a time
         rows[i] = tuple(map(perm.__getitem__, row))
-    ranks = tuple(rows)
-    # Symmetric iff each row equals its column; zip yields one column at a time.
-    if any(values[row[i]] for i, row in enumerate(ranks)) or not all(map(tuple.__eq__, ranks, zip(*ranks))):
-        for i, row in enumerate(ranks):
-            if values[row[i]] != 0:
-                raise SpaceFormatError(f"nonzero diagonal at ({i},{i}): {format_rational(values[row[i]])}")
-            for j in range(i + 1, n):
-                if row[j] != ranks[j][i]:
-                    raise SpaceFormatError(f"asymmetric at ({i},{j})")
+    space = _checked_space(labels, values, tuple(rows))
     if require_metric:
-        rho = [list(map(values.__getitem__, row)) for row in ranks]
+        rho = [list(map(values.__getitem__, row)) for row in space.ranks]
         for i in range(n):
             for j in range(i + 1, n):
                 for via in range(n):
@@ -381,6 +373,37 @@ def _ranked_space(labels, firsts: dict, rows: list, require_metric: bool = False
                             f"{format_rational(rho[i][j])} > "
                             f"{format_rational(rho[i][via] + rho[via][j])}"
                         )
+    return space
+
+
+def _grid_space(labels, grid, value) -> FiniteSemimetricSpace:
+    """The space whose cell (i, j) is ``value(grid[i][j])``, for a square int
+    table and an increasing ``value`` into Fractions. The distinct ints are sorted
+    once, and a row object repeated in ``grid`` is ranked once, into one tuple."""
+    labels = _checked_labels(labels)
+    if any(len(row) != len(labels) for row in [grid, *grid]):
+        raise SpaceFormatError(f"grid must be {len(labels)} by {len(labels)}")
+    rows = {id(row): row for row in grid}
+    distinct = sorted(set().union(*rows.values()))
+    rank = dict(zip(distinct, range(len(distinct))))
+    ranked = {key: tuple(map(rank.__getitem__, row)) for key, row in rows.items()}
+    return _checked_space(labels, tuple(map(value, distinct)), tuple(ranked[id(row)] for row in grid))
+
+
+def _checked_space(labels, values, ranks) -> FiniteSemimetricSpace:
+    """The space of ``ranks`` into the sorted ``values``; SpaceFormatError for the
+    first negative cell, else the first nonzero diagonal cell or asymmetric pair."""
+    if values and values[0] < 0:
+        i, j = next((i, j) for i, row in enumerate(ranks) for j, x in enumerate(row) if values[x] < 0)
+        raise SpaceFormatError(f"negative entry at ({i},{j}): {format_rational(values[ranks[i][j]])}")
+    # Symmetric iff each row equals its column; zip yields one column at a time.
+    if any(values[row[i]] for i, row in enumerate(ranks)) or not all(map(tuple.__eq__, ranks, zip(*ranks))):
+        for i, row in enumerate(ranks):
+            if values[row[i]] != 0:
+                raise SpaceFormatError(f"nonzero diagonal at ({i},{i}): {format_rational(values[row[i]])}")
+            for j in range(i + 1, len(ranks)):
+                if row[j] != ranks[j][i]:
+                    raise SpaceFormatError(f"asymmetric at ({i},{j})")
     return FiniteSemimetricSpace(labels, values, ranks)
 
 

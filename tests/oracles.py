@@ -6,6 +6,7 @@ exhaustively, and feasibility is re-checked straight from the distance table.
 """
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from clustercert.clustering import ClusterStructure, ExactSearchResult
 from clustercert.generators import (
     TightInstanceSpec,
+    WeightedFiniteSpace,
+    _rng,
     planted_instance,
     random_metric_instance,
     tight_instance,
@@ -25,9 +28,12 @@ from clustercert.space import (
     ScaleParams,
     SpaceFormatError,
     _is_int,
+    _positive_order,
+    _positive_scale,
     as_fraction,
     build_space,
     format_rational,
+    set_distance,
 )
 
 PALETTE = [
@@ -446,3 +452,167 @@ def reference_load_space(text: str) -> FiniteSemimetricSpace:
         raise SpaceFormatError(f"unexpected trailing content: {rest[0]!r}")
     return space
 
+
+# ---------------------------------------------------------------------------
+# The generators and uniformize before they built ranks from int grids,
+# kept verbatim (apart from their names) as the reference for the current
+# ones: each builds a table of Fractions and hands it to the parser.
+# ---------------------------------------------------------------------------
+
+_RESOLUTION = 1000
+
+
+def _blocks(prefix: str, sizes: Sequence[int]) -> tuple[list[str], list[int]]:
+    """Labels ``{prefix}{b}_{t}`` for point t of block b, block after block,
+    and the block index of each point."""
+    labels = []
+    block_of = []
+    for b, size in enumerate(sizes):
+        for t in range(size):
+            labels.append(f"{prefix}{b}_{t}")
+            block_of.append(b)
+    return labels, block_of
+
+
+def reference_tight_instance(spec: TightInstanceSpec) -> FiniteSemimetricSpace:
+    """Materialize the block witness described by ``spec``."""
+    labels, block_of = _blocks("b", [spec.m0] + [spec.m] * spec.k)
+    r = spec.r
+    far = 4 * r
+    matrix = [
+        [Fraction(0) if i == j else r if a == b else far for j, b in enumerate(block_of)]
+        for i, a in enumerate(block_of)
+    ]
+    return build_space(labels, matrix)
+
+
+def reference_planted_instance(
+    k: int,
+    block_sizes: Sequence[int],
+    noise_swap_fraction,
+    r,
+    seed: int,
+) -> FiniteSemimetricSpace:
+    """Random blocks with short intra-block and long inter-block distances.
+
+    Intra-block distances are uniform over (0, r], inter-block over (3r, 5r],
+    both on a grid of 1/1000-ths of r. Then floor(noise * total_pairs) pairs,
+    sampled without replacement, are re-drawn from (r, 3r], so the medium-edge
+    count equals the number of re-drawn pairs. Bit-exact for a fixed seed.
+    """
+    _positive_order(k)
+    sizes = list(block_sizes)
+    if not sizes or any(not _is_int(s) or s < 1 for s in sizes):
+        raise ValueError(f"block sizes must be positive integers, got {block_sizes!r}")
+    if len(sizes) != k:
+        raise ValueError(f"expected {k} block sizes, got {len(sizes)}")
+    noise = as_fraction(noise_swap_fraction)
+    if not 0 <= noise < 1:
+        raise ValueError(f"noise fraction must lie in [0, 1), got {noise}")
+    r = _positive_scale(r)
+
+    rng = _rng(seed)
+    labels, block_of = _blocks("b", sizes)
+    n = len(labels)
+
+    def short() -> Fraction:
+        return r * Fraction(rng.randint(1, _RESOLUTION), _RESOLUTION)
+
+    def long() -> Fraction:
+        return 3 * r + 2 * r * Fraction(rng.randint(1, _RESOLUTION), _RESOLUTION)
+
+    def medium() -> Fraction:
+        return r + 2 * r * Fraction(rng.randint(1, _RESOLUTION), _RESOLUTION)
+
+    dist = [[Fraction(0)] * n for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in pairs:
+        d = short() if block_of[i] == block_of[j] else long()
+        dist[i][j] = dist[j][i] = d
+    redraw_count = int(noise * len(pairs))  # floor: noise is a non-negative Fraction
+    for i, j in sorted(rng.sample(pairs, redraw_count)):
+        d = medium()
+        dist[i][j] = dist[j][i] = d
+    return build_space(labels, dist)
+
+
+def reference_random_metric_instance(n: int, r, seed: int) -> FiniteSemimetricSpace:
+    """Uniform random symmetric distances, closed under shortest paths.
+
+    Entries are drawn from multiples of r/2 in [r/2, 5r] and then replaced by
+    the exact min-plus closure (all-pairs shortest paths), which enforces the
+    triangle inequality while keeping plenty of short/medium/long variety.
+    The closure runs on integer half-units: it commutes with scaling by
+    r/2 > 0, so each cell is converted to r * h / 2 once, at the end.
+    """
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"point count must be a non-negative integer, got {n!r}")
+    r = _positive_scale(r)
+    rng = _rng(seed)
+    half = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            half[i][j] = half[j][i] = rng.randint(1, 10)
+    for via in range(n):
+        row_via = half[via]
+        for row in half:
+            d = row[via]
+            row[:] = [min(h, d + h_via) for h, h_via in zip(row, row_via)]
+    dist = [[r * h / 2 for h in row] for row in half]
+    return build_space([f"p{i}" for i in range(n)], dist)
+
+
+def reference_uniformize(
+    w: WeightedFiniteSpace,
+    partition: Sequence[Sequence[int]],
+    eps,
+    *,
+    max_total_multiplicity: int = 100_000,
+) -> FiniteSemimetricSpace:
+    """Collapse a weighted space onto a uniform-measure multiplicity space.
+
+    Each part A_i gets a rational weight q_i with mu(A_i) >= q_i >=
+    (1 - eps) * mu(A_i), obtained by decimal truncation at the smallest power
+    of ten that satisfies the floor for every part. Parts become blocks of
+    q_i-proportional multiplicity (common denominator, reduced by gcd) at
+    mutual distance set_distance(A_i, A_j), with distance 0 inside a block.
+    """
+    eps = as_fraction(eps)
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    space = w.base
+    parts = [sorted(set(part)) for part in partition]
+    flat = [p for part in parts for p in part]
+    if sorted(flat) != list(space.points()) or any(not part for part in parts):
+        raise ValueError("partition must consist of non-empty disjoint parts covering all points")
+    measures = [sum((w.weights[p] for p in part), Fraction(0)) for part in parts]
+
+    scale = 1
+    power = 0
+    while True:
+        truncated = [Fraction(int(mu * scale), scale) for mu in measures]
+        if all(q >= (1 - eps) * mu for q, mu in zip(truncated, measures)):
+            break
+        scale *= 10
+        power += 1
+        if power > 10_000:  # unreachable: truncation error shrinks as 10^-power
+            raise RuntimeError("weight truncation failed to converge")
+    numerators = [int(q * scale) for q in truncated]
+
+    g = math.gcd(*numerators)
+    multiplicities = [a // g for a in numerators]
+    total = sum(multiplicities)
+    if total > max_total_multiplicity:
+        raise ValueError(
+            f"uniformized space needs {total} points, above the cap of {max_total_multiplicity}"
+        )
+
+    cross = [[Fraction(0)] * len(parts) for _ in range(len(parts))]
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            d = set_distance(space, parts[i], parts[j])
+            cross[i][j] = cross[j][i] = d
+
+    # The diagonal of ``cross`` is 0, the distance inside a block.
+    labels, block_of = _blocks("a", multiplicities)
+    return build_space(labels, [[cross[a][b] for b in block_of] for a in block_of])

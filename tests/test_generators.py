@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import clustercert as cc
 from clustercert import verify
@@ -132,6 +132,82 @@ class TestRandomMetricInstance:
                 assert space == oracles.fraction_metric_instance(n, r, seed), (n, seed)
 
 
+R_VALUES = [*verify._R_PALETTE, Fraction(7, 3)]  # the verify scales and a non-dyadic one
+NOISES = [Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(99, 100)]
+
+
+def assert_same_space(new, old):
+    """Equal fields, equal hashes and the same file bytes."""
+    assert (new.labels, new.values, new.ranks) == (old.labels, old.values, old.ranks)
+    assert all(type(q) is Fraction for q in new.values)
+    assert hash(new) == hash(old)
+    assert cc.dump_space(new) == cc.dump_space(old)
+
+
+class TestGeneratorEquivalence:
+    """The generators and ``uniformize`` build, from int grids, the space that
+    their verbatim predecessors built by parsing tables of Fractions."""
+
+    @given(k=st.integers(1, 4), m=st.integers(1, 4), extra=st.integers(0, 3), r=st.sampled_from(R_VALUES))
+    @example(k=1, m=1, extra=0, r=Fraction(7, 3))  # m0 = m = 1: all blocks singletons, no distance equals r
+    @example(k=4, m=1, extra=0, r=Fraction(1))
+    def test_tight_instance(self, k, m, extra, r):
+        spec = cc.TightInstanceSpec(k=k, m=m, m0=m + extra, r=r)
+        assert_same_space(cc.tight_instance(spec), oracles.reference_tight_instance(spec))
+
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        noise=st.sampled_from(NOISES),
+        r=st.sampled_from(R_VALUES),
+        seed=st.integers(-(2**40), 2**40),
+    )
+    @example(sizes=[1, 1, 1], noise=Fraction(0), r=Fraction(1), seed=0)  # all singletons: no short distance
+    @example(sizes=[1], noise=Fraction(99, 100), r=Fraction(7, 3), seed=3)  # one point: no pair at all
+    @example(sizes=[3, 3], noise=Fraction(99, 100), r=Fraction(3, 4), seed=5)
+    def test_planted_instance(self, sizes, noise, r, seed):
+        args = (len(sizes), sizes, noise, r, seed)
+        assert_same_space(cc.planted_instance(*args), oracles.reference_planted_instance(*args))
+
+    def test_planted_instance_at_n_160(self):
+        args = (3, [53, 53, 54], Fraction(1, 10), Fraction(1), 7)
+        assert_same_space(cc.planted_instance(*args), oracles.reference_planted_instance(*args))
+
+    @given(n=st.integers(0, 16), r=st.sampled_from(R_VALUES), seed=st.integers(-(2**40), 2**40))
+    @example(n=0, r=Fraction(1), seed=0)
+    @example(n=1, r=Fraction(7, 3), seed=0)
+    def test_random_metric_instance(self, n, r, seed):
+        assert_same_space(cc.random_metric_instance(n, r, seed), oracles.reference_random_metric_instance(n, r, seed))
+
+    @given(data=st.data())
+    def test_uniformize(self, data):
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        r = data.draw(st.sampled_from(R_VALUES))
+        base = cc.planted_instance(len(sizes), sizes, data.draw(st.sampled_from(NOISES)), r, data.draw(st.integers(0, 2**32)))
+        weight = st.one_of(st.integers(1, 9), st.builds(Fraction, st.integers(1, 90), st.integers(1, 12)))
+        w = cc.WeightedFiniteSpace(base, tuple(data.draw(st.lists(weight, min_size=base.n, max_size=base.n))))
+        eps = data.draw(st.fractions(min_value=Fraction(1, 40), max_value=Fraction(39, 40), max_denominator=40))
+        if data.draw(st.booleans()):
+            partition = tuple((p,) for p in base.points())
+        else:
+            partition = cc.epsilon_partition(w, data.draw(st.sampled_from([Fraction(1, 10), r, 2 * r, 7 * r])))
+        self.assert_same_uniformized(w, partition, eps)
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 3)])
+    def test_uniformize_over_an_empty_base(self, eps):
+        self.assert_same_uniformized(cc.WeightedFiniteSpace(cc.build_space([], []), ()), (), eps)
+
+    @staticmethod
+    def assert_same_uniformized(w, partition, eps):
+        try:  # a small cap keeps the reference's n^2 parsed cells cheap
+            old = oracles.reference_uniformize(w, partition, eps, max_total_multiplicity=300)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                cc.uniformize(w, partition, eps, max_total_multiplicity=300)
+            assert str(caught.value) == str(exc)
+        else:
+            assert_same_space(cc.uniformize(w, partition, eps, max_total_multiplicity=300), old)
+
+
 class TestSpaceFromPoints:
     def test_taxicab_distances(self):
         space = cc.space_from_points([("0", "0"), ("1", "2"), ("0.5", "0")], metric="l1")
@@ -216,6 +292,19 @@ class TestUniformize:
         space = cc.uniformize(w, ((0, 1), (2,)), Fraction(1, 10))
         assert _block_sizes(space) == [1, 1]
         assert space.rho(0, 1) == 4  # min distance between the two parts
+
+    def test_multiplicity_cap_is_inclusive(self):
+        w = _weighted([(0,), (10,)], [1, 1])
+        assert cc.uniformize(w, ((0,), (1,)), Fraction(1, 10), max_total_multiplicity=2).n == 2
+        with pytest.raises(ValueError, match="needs 2 points, above the cap of 1"):
+            cc.uniformize(w, ((0,), (1,)), Fraction(1, 10), max_total_multiplicity=1)
+
+    def test_truncation_stops_where_q_equals_the_floor(self):
+        # At one decimal 0.55 truncates to 0.5 = (1 - 1/11) * 0.55 exactly, which
+        # is accepted; a strict floor would go on to 0.55 and 1.00, giving [11, 20].
+        w = _weighted([(0,), (10,)], [Fraction(55, 100), 1])
+        space = cc.uniformize(w, ((0,), (1,)), Fraction(1, 11))
+        assert _block_sizes(space) == [1, 2]
 
     def test_multiplicity_cap(self):
         w = _weighted([(0,), (10,)], [Fraction(1, 3), 1])

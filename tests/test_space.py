@@ -15,7 +15,7 @@ from hypothesis import example, given, strategies as st
 
 import clustercert as cc
 from clustercert.generators import load_weighted_space
-from clustercert.space import SpaceFormatError
+from clustercert.space import SpaceFormatError, _grid_space
 
 import oracles
 from conftest import S3_LABELS, S3_MATRIX
@@ -195,6 +195,52 @@ class TestRankLayer:
         obj = {"labels": ["a", "b", "c"], "dist": dist}
         with pytest.raises(SpaceFormatError, match=r"^negative entry at \(0,1\): -2$"):
             cc.space_from_obj(obj)
+
+
+class TestGridSpace:
+    """``_grid_space`` builds generated spaces without the parser, but keeps
+    the parser's checks as real raises, not asserts."""
+
+    def test_ranks_follow_the_sorted_ints(self):
+        space = _grid_space("abc", [[0, 8, 2], [8, 0, 5], [2, 5, 0]], Fraction(1, 4).__mul__)
+        assert space == cc.build_space("abc", [[0, 2, "1/2"], [2, 0, "5/4"], ["1/2", "5/4", 0]])
+        assert space.values == (0, Fraction(1, 2), Fraction(5, 4), 2)
+
+    def test_a_repeated_row_object_shares_one_rank_tuple(self):
+        row = [0, 0, 3]
+        space = _grid_space("abc", [row, row, [3, 3, 0]], Fraction)
+        assert space.ranks[0] is space.ranks[1]
+        assert space.ranks == ((0, 0, 1), (0, 0, 1), (1, 1, 0))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_degenerate_sizes(self, n):
+        assert _grid_space([f"p{i}" for i in range(n)], [[0] * n for _ in range(n)], Fraction).n == n
+
+    @pytest.mark.parametrize(
+        "labels, grid, message",
+        [
+            ("ab", [[0, 1], [2, 0]], r"asymmetric at \(0,1\)"),
+            ("ab", [[0, 1], [1, 3]], r"nonzero diagonal at \(1,1\): 3"),
+            ("ab", [[0, -1], [-1, 0]], r"negative entry at \(0,1\): -1"),
+            ("ab", [[0, 1], [1]], "grid must be 2 by 2"),
+            ("ab", [[0, 1, 2], [1, 0, 2]], "grid must be 2 by 2"),
+            ("ab", [[0, 1]], "grid must be 2 by 2"),
+            (["a", "a"], [[0, 1], [1, 0]], "duplicate label"),
+            (["a b"], [[0]], "whitespace"),
+        ],
+    )
+    def test_bad_grids_raise(self, labels, grid, message):
+        with pytest.raises(SpaceFormatError, match=message):
+            _grid_space(labels, grid, Fraction)
+
+    def test_checks_survive_optimized_python(self):
+        code = (
+            "from fractions import Fraction\nfrom clustercert.space import _grid_space\n"
+            "try:\n    _grid_space('ab', [[0, 1], [2, 0]], Fraction)\nexcept ValueError as exc:\n    print(exc)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout == "asymmetric at (0,1)\n"
 
 
 class TestHash:

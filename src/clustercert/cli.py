@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import bounds, clustering, generators, verify
 from .serialize import write_report
@@ -48,30 +47,43 @@ def _int_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _read_text(path: str) -> str:
+def _read_input(path: str, from_obj, from_text=None):
+    """Parse a UTF-8 file: as JSON with ``from_obj`` when there is no text parser
+    or the file starts with "{", else with ``from_text``. Any fault, from an
+    unreadable file to JSON nested too deep, is one SpaceFormatError naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SpaceFormatError(f"{path}: {exc}") from exc
-
-
-def _read_input(path: str, from_obj, from_text):
-    """Parse a JSON-object or text file with the matching parser, naming the
-    file in any error. Wrongly typed JSON fields surface as TypeError."""
-    text = _read_text(path)
-    try:
-        if text.lstrip().startswith("{"):
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
+        if from_text is None or text.lstrip().startswith("{"):
             return from_obj(json.loads(text))
         return from_text(text)
-    except (ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         raise SpaceFormatError(f"{path}: {exc}") from exc
 
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as file:
+            file.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _config_args(spec) -> argparse.Namespace:
+    """The generator flags set by a ``generate --config`` JSON object."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("blockSizes", []), list):
+        raise TypeError("generator config must be a JSON object with a blockSizes list")
+    flags = argparse.Namespace(
+        kind=spec.get("kind"), r=as_fraction(spec.get("r", "1")), k=spec.get("k", 1),
+        m=spec.get("m"), m0=spec.get("m0"), block_sizes=spec.get("blockSizes", []),
+        noise=as_fraction(spec.get("noise", 0)), seed=spec.get("seed", 0),
+    )
+    counts = {"k": flags.k, "m": flags.m, "m0": flags.m0, "seed": flags.seed}
+    counts.update((f"blockSizes[{i}]", b) for i, b in enumerate(flags.block_sizes))
+    for name, value in counts.items():
+        if value is not None and not _is_int(value):
+            raise TypeError(f"{name} must be a JSON integer, got {json.dumps(value)}")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,48 +199,19 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.config:
-        text = _read_text(args.config)
-        try:
-            spec = json.loads(text)
-            if not isinstance(spec, dict) or not isinstance(spec.get("blockSizes", []), list):
-                raise TypeError("generator config must be a JSON object with a blockSizes list")
-            kind = spec.get("kind")
-            r = as_fraction(spec.get("r", "1"))
-            k = spec.get("k", 1)
-            m = spec.get("m")
-            m0 = spec.get("m0")
-            block_sizes = spec.get("blockSizes", [])
-            noise = as_fraction(spec.get("noise", 0))
-            seed = spec.get("seed", 0)
-            counts = {"k": k, "m": m, "m0": m0, "seed": seed}
-            counts.update((f"blockSizes[{i}]", b) for i, b in enumerate(block_sizes))
-            for name, value in counts.items():
-                if value is not None and not _is_int(value):
-                    raise TypeError(f"{name} must be a JSON integer, got {json.dumps(value)}")
-        except (TypeError, ValueError) as exc:
-            raise SpaceFormatError(f"{args.config}: {exc}") from exc
-    else:
-        kind = args.kind
-        r = args.r
-        k = args.k
-        m = args.m
-        m0 = args.m0
-        block_sizes = args.block_sizes
-        noise = args.noise
-        seed = args.seed
-    if kind not in ("tight", "planted"):
-        raise SpaceFormatError(f"generator kind must be 'tight' or 'planted', got {kind!r}")
-    if r is None or k is None:
+    spec = _read_input(args.config, _config_args) if args.config else args
+    if spec.kind not in ("tight", "planted"):
+        raise SpaceFormatError(f"generator kind must be 'tight' or 'planted', got {spec.kind!r}")
+    if spec.r is None or spec.k is None:
         raise SpaceFormatError("generator requires --r and --k")
-    if kind == "tight":
-        if m is None or m0 is None:
+    if spec.kind == "tight":
+        if spec.m is None or spec.m0 is None:
             raise SpaceFormatError("tight generator requires --m and --m0")
-        space = generators.tight_instance(generators.TightInstanceSpec(k=k, m=m, m0=m0, r=r))
+        space = generators.tight_instance(generators.TightInstanceSpec(k=spec.k, m=spec.m, m0=spec.m0, r=spec.r))
     else:
-        if not block_sizes:
+        if not spec.block_sizes:
             raise SpaceFormatError("planted generator requires --block-sizes")
-        space = generators.planted_instance(k, list(block_sizes), noise, r, seed)
+        space = generators.planted_instance(spec.k, list(spec.block_sizes), spec.noise, spec.r, spec.seed)
     _emit(dump_space(space), args.output)
     return 0
 

@@ -13,10 +13,10 @@ deterministic and reproducible.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
 
 from . import stats
 from .space import FiniteSemimetricSpace, Record, ScaleParams, _bits, _mask, _positive_order

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .space import (
     FiniteSemimetricSpace,
@@ -64,13 +64,12 @@ class TightInstanceSpec(Record):
     r: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "r", as_fraction(self.r))
+        object.__setattr__(self, "r", _positive_scale(self.r))
         _positive_order(self.k)
         if not _is_int(self.m) or self.m < 1:
             raise ValueError(f"block size m must be a positive integer, got {self.m!r}")
         if not _is_int(self.m0) or self.m0 < self.m:
             raise ValueError(f"m0 must be an integer >= m (got m0={self.m0!r}, m={self.m!r})")
-        _positive_scale(self.r)
 
     @property
     def n(self) -> int:
@@ -187,17 +186,20 @@ def space_from_points(points: Sequence[Sequence], *, metric: str = "l1") -> Fini
 
 class WeightedFiniteSpace(Record):
     """A space with a positive rational measure per point; the total weight
-    plays the role of the measure of the whole space."""
+    plays the role of the measure of the whole space.
+
+    The weights are checked here and nowhere else: first their count, then
+    each one through :func:`as_fraction`, then its sign."""
 
     base: FiniteSemimetricSpace
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        weights = tuple(as_fraction(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
+        weights = tuple(self.weights)
         if len(weights) != self.base.n:
             raise ValueError(f"expected {self.base.n} weights, got {len(weights)}")
-        for idx, w in enumerate(weights):
+        object.__setattr__(self, "weights", tuple(map(as_fraction, weights)))
+        for idx, w in enumerate(self.weights):
             if w <= 0:
                 raise ValueError(f"weight {idx} must be positive, got {w}")
 
@@ -285,21 +287,22 @@ def dump_weighted_space(w: WeightedFiniteSpace) -> str:
     return dump_space(w.base) + " ".join(format_rational(x) for x in w.weights) + "\n"
 
 
+def _weighted(space: FiniteSemimetricSpace, weights, prefix: str = "") -> WeightedFiniteSpace:
+    """The weighted space, with any fault of the weights as a SpaceFormatError."""
+    try:
+        return WeightedFiniteSpace(base=space, weights=weights)
+    except (ValueError, TypeError) as exc:
+        raise SpaceFormatError(f"{prefix}{exc}") from exc
+
+
 def load_weighted_space(text: str) -> WeightedFiniteSpace:
+    """Parse the text space format plus an optional line of n weights; a file
+    without that line weighs each point 1. Every fault of the weights line is a
+    SpaceFormatError that begins "weights line:"."""
     space, rest = _parse_space_lines(text)
-    if not rest:
-        weights = [Fraction(1)] * space.n
-    elif len(rest) == 1:
-        tokens = rest[0][1].split()
-        if len(tokens) != space.n:
-            raise SpaceFormatError(f"weights line: expected {space.n} weights, got {len(tokens)}")
-        try:
-            weights = [as_fraction(tok) for tok in tokens]
-        except ValueError as exc:
-            raise SpaceFormatError(f"weights line: {exc}") from exc
-    else:
+    if len(rest) > 1:
         raise SpaceFormatError(f"unexpected trailing content: {rest[1][1]!r}")
-    return WeightedFiniteSpace(base=space, weights=tuple(weights))
+    return _weighted(space, rest[0][1].split() if rest else [1] * space.n, "weights line: ")
 
 
 def weighted_space_to_obj(w: WeightedFiniteSpace) -> dict:
@@ -309,14 +312,11 @@ def weighted_space_to_obj(w: WeightedFiniteSpace) -> dict:
 
 
 def weighted_space_from_obj(obj: dict) -> WeightedFiniteSpace:
+    """Parse the structured-object form plus an optional ``weights`` list; an
+    absent or null list weighs each point 1. Every fault of the weights,
+    a boolean or other non-number among them, is a SpaceFormatError."""
     space = space_from_obj(obj)
-    raw = obj.get("weights")
-    if raw is None:
-        weights = [Fraction(1)] * space.n
-    else:
-        if not isinstance(raw, list):
-            raise SpaceFormatError(f"weights must be a list, got {type(raw).__name__}")
-        if len(raw) != space.n:
-            raise SpaceFormatError(f"expected {space.n} weights, got {len(raw)}")
-        weights = [as_fraction(x) for x in raw]
-    return WeightedFiniteSpace(base=space, weights=tuple(weights))
+    weights = obj.get("weights")
+    if weights is not None and not isinstance(weights, list):
+        raise SpaceFormatError(f"weights must be a list, got {type(weights).__name__}")
+    return _weighted(space, [1] * space.n if weights is None else weights)

@@ -23,11 +23,11 @@ from __future__ import annotations
 import decimal
 import re
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "SpaceFormatError",
@@ -47,6 +47,10 @@ __all__ = [
 
 # At most 600 digits in all: under any limit Python sets on reading an int from text (>= 640).
 _PLAIN_DECIMAL = re.compile(r"[0-9]{1,300}(?:\.[0-9]{1,300})?")
+# Fraction computes 10**exponent before anything else, so a larger exponent is refused
+# first. 4300 is Python's default digit limit for reading an int from text.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 class SpaceFormatError(ValueError):
@@ -59,19 +63,23 @@ def as_fraction(value) -> Fraction:
     Strings may be in decimal ("0.25") or ratio ("1/3") form and are parsed
     exactly. Floats are converted from their exact binary value, so text is
     the safe path for values like 0.1 that have no finite binary expansion.
+    A decimal exponent beyond 4300 in magnitude is refused with ValueError.
     Booleans are not numbers here: they raise TypeError.
     """
     if isinstance(value, Fraction):
         return value
     if _is_int(value):
         return Fraction(value)
+    if isinstance(value, decimal.Decimal):
+        value = str(value)  # exact, and held to the same exponent rule
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent and (len(exponent[1]) > _MAX_EXPONENT or abs(int(exponent[1])) > _MAX_EXPONENT):
+            raise ValueError(f"exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational number: {value!r}") from exc
-    if isinstance(value, decimal.Decimal):
-        return Fraction(value)
     if isinstance(value, float):
         try:
             return Fraction(value)

@@ -6,9 +6,9 @@ so that downstream inequality checks are decidable at boundary cases.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Sequence
 
 from .space import FiniteSemimetricSpace, Record, ScaleParams, _is_int, _mask, as_fraction
 

@@ -16,10 +16,12 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def test_import_loads_no_dataclasses_or_inspect():
     # Every command is a fresh process, so the import is paid per command.
-    script = "import sys, clustercert.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # -S: a site hook may preload modules that the package itself never needs.
+    modules = "{'dataclasses', 'inspect', 'pathlib', 'typing'}"
+    script = f"import sys, clustercert.cli; print(sorted({modules} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
 
@@ -191,6 +193,27 @@ class TestGenerate:
         assert code == 1
         assert "kind" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kind", "tight", "--m", "1", "--m0", "1"], "generator requires --r and --k"),
+            (["--kind", "planted", "--r", "1", "--block-sizes", "2"], "generator requires --r and --k"),
+            (["--kind", "tight", "--r", "1", "--k", "1", "--m0", "1"], "tight generator requires --m and --m0"),
+            (["--kind", "planted", "--r", "1", "--k", "1"], "planted generator requires --block-sizes"),
+        ],
+        ids=["no-r", "no-k", "no-m", "no-block-sizes"],
+    )
+    def test_missing_flag_is_one_error_line(self, capsys, argv, message):
+        code, out, err = _run(capsys, "generate", *argv)
+        assert code == 1 and not out
+        assert err == f"error: {message}\n"
+
+    def test_empty_block_sizes_is_a_usage_error(self, capsys):
+        code, out, err = _run(capsys, "generate", "--kind", "planted", "--r", "1", "--k", "1", "--block-sizes", ",")
+        assert code == 1 and not out
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == ["clustercert generate: error: argument --block-sizes: expected at least one integer"]
+
 
 class TestDiscretize:
     def test_weighted_text_input(self, capsys, tmp_path):
@@ -214,6 +237,16 @@ class TestDiscretize:
         code, out, _ = _run(capsys, "discretize", "--input", str(path), "--eps", "0.5")
         assert code == 0
         assert cc.load_space(out).n == 3
+
+    def test_null_weights_are_ones(self, capsys, tmp_path, s3):
+        outs = []
+        for weights in (None, ["1", "1", "1"]):
+            path = tmp_path / "weighted.json"
+            path.write_text(json.dumps({**cc.space_to_obj(s3), "weights": weights}), encoding="utf-8")
+            code, out, _ = _run(capsys, "discretize", "--input", str(path), "--eps", "0.5")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 class TestVerify:
@@ -347,6 +380,93 @@ class TestMalformedInput:
         code, out, err = _run(capsys, *argv, str(path))
         assert code == 1 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (["discretize", "--eps", "0.5", "--input"], b"2\na b\n0 1\n1 0\n1\n",
+             "weights line: expected 2 weights, got 1"),
+            (["discretize", "--eps", "0.5", "--input"], b"2\na b\n0 1\n1 0\n1 x\n",
+             "weights line: not a rational number: 'x'"),
+            (["discretize", "--eps", "0.5", "--input"], b"2\na b\n0 1\n1 0\n1 0\n",
+             "weights line: weight 1 must be positive, got 0"),
+            (["discretize", "--eps", "0.5", "--input"], b"2\na b\n0 1\n1 0\n1 1\n1 1\n",
+             "unexpected trailing content: '1 1'"),
+            (["discretize", "--eps", "0.5", "--input"],
+             b'{"labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]], "weights": [1, 1, 1]}',
+             "expected 2 weights, got 3"),
+            (["discretize", "--eps", "0.5", "--input"],
+             b'{"labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]], "weights": [1, 0]}',
+             "weight 1 must be positive, got 0"),
+            (["discretize", "--eps", "0.5", "--input"],
+             b'{"labels": ["a", "b"], "dist": [["0", "1"], ["1", "0"]], "weights": "11"}',
+             "weights must be a list, got str"),
+            (["analyze", "--r", "1", "--k", "1", "--input"], b'{"labels": ["a"]}',
+             "space object is missing field: 'dist'"),
+            (["analyze", "--r", "1", "--k", "1", "--input"], b"\xff\xfe2\na b\n",
+             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            (["analyze", "--r", "1", "--k", "1", "--input"],
+             b'{"labels": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+             "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+            (["generate", "--config"], b'{"kind": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+             "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+            (["generate", "--config"], b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ],
+        ids=[
+            "weights-too-few",
+            "weights-bad-token",
+            "weights-zero",
+            "weights-second-line",
+            "json-weights-length",
+            "json-weights-zero",
+            "json-weights-string",
+            "json-no-dist",
+            "not-utf8",
+            "deep-json",
+            "deep-config",
+            "config-not-utf8",
+        ],
+    )
+    def test_one_error_line_names_the_file(self, capsys, tmp_path, argv, content, message):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        code, out, err = _run(capsys, *argv, str(path))
+        assert code == 1 and not out
+        assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (["analyze", "--r", "1", "--k", "1", "--input", "{}"], "2\na b\n0 1e999999999\n1e999999999 0\n",
+             "{}: distance table: bad distance at (0,1): exponent of '1e999999999' exceeds 4300 in magnitude"),
+            (["analyze", "--r", "1", "--k", "1", "--input", "{}"],
+             '{"labels": ["a", "b"], "dist": [["0", "1e999999999"], ["1e999999999", "0"]]}',
+             "{}: bad distance at (0,1): exponent of '1e999999999' exceeds 4300 in magnitude"),
+            (["discretize", "--eps", "0.5", "--input", "{}"], "2\na b\n0 1\n1 0\n1 1e999999999\n",
+             "{}: weights line: exponent of '1e999999999' exceeds 4300 in magnitude"),
+            (["analyze", "--r", "1e999999999", "--k", "1", "--input", "{}"], "1\na\n0\n",
+             "argument --r: exponent of '1e999999999' exceeds 4300 in magnitude"),
+            (["generate", "--kind", "tight", "--k", "1", "--m", "1", "--m0", "1", "--r", "1e-999999999"], "",
+             "argument --r: exponent of '1e-999999999' exceeds 4300 in magnitude"),
+            (["discretize", "--eps", "1e-999999999", "--input", "{}"], "1\na\n0\n",
+             "argument --eps: exponent of '1e-999999999' exceeds 4300 in magnitude"),
+            (["generate", "--kind", "planted", "--k", "1", "--block-sizes", "2", "--r", "1", "--noise", "1e999999999"],
+             "", "argument --noise: exponent of '1e999999999' exceeds 4300 in magnitude"),
+        ],
+        ids=["text-cell", "json-cell", "weight", "r", "generate-r", "eps", "noise"],
+    )
+    def test_huge_exponent_is_refused_at_once(self, tmp_path, argv, content, message):
+        # A process of its own with a timeout: a regression fails here instead of hanging.
+        path = tmp_path / "input"
+        path.write_text(content, encoding="utf-8")
+        argv = [arg.format(path) for arg in argv]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        run = subprocess.run(
+            [sys.executable, "-m", "clustercert.cli", *argv], env=env, capture_output=True, text=True, timeout=30
+        )
+        assert run.returncode == 1 and not run.stdout
+        errors = [line for line in run.stderr.splitlines() if "error: " in line]
+        assert len(errors) == 1 and errors[0].endswith(f"error: {message.format(path)}")
 
     @pytest.mark.parametrize("command", ["analyze", "exact", "verify"])
     def test_negative_exact_limit_is_an_input_error(self, capsys, s3_file, command):

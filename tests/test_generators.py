@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 import clustercert as cc
 from clustercert import verify
 from clustercert.generators import load_weighted_space, dump_weighted_space
+from clustercert.space import SpaceFormatError
 
 import oracles
 
@@ -406,3 +407,42 @@ class TestWeightedSerialization:
     def test_nonpositive_weight_rejected(self, s3):
         with pytest.raises(ValueError):
             cc.WeightedFiniteSpace(base=s3, weights=(Fraction(1), Fraction(0), Fraction(1)))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1 1", "weights line: expected 3 weights, got 2"),
+            ("1 1 1 1", "weights line: expected 3 weights, got 4"),
+            ("1 x 1", "weights line: not a rational number: 'x'"),
+            ("1 0 1", "weights line: weight 1 must be positive, got 0"),
+            ("1 1 -1/2", "weights line: weight 2 must be positive, got -1/2"),
+            ("1 1e4301 1", "weights line: exponent of '1e4301' exceeds 4300 in magnitude"),
+            ("1 1\nextra", "unexpected trailing content: 'extra'"),
+        ],
+    )
+    def test_weights_line_faults(self, s3, line, message):
+        with pytest.raises(SpaceFormatError) as info:
+            load_weighted_space(cc.dump_space(s3) + line + "\n")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (["1", "1"], "expected 3 weights, got 2"),
+            ([1, 0, 1], "weight 1 must be positive, got 0"),
+            ([1, "x", 1], "not a rational number: 'x'"),
+            ([1, True, 1], "cannot interpret bool as an exact rational"),
+            ([1, {}, 1], "cannot interpret dict as an exact rational"),
+            ("111", "weights must be a list, got str"),
+            ({}, "weights must be a list, got dict"),
+        ],
+    )
+    def test_json_weights_faults(self, s3, weights, message):
+        with pytest.raises(SpaceFormatError) as info:
+            cc.weighted_space_from_obj({**cc.space_to_obj(s3), "weights": weights})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("extra", [{}, {"weights": None}], ids=["absent", "null"])
+    def test_json_weights_absent_or_null_are_ones(self, s3, extra):
+        w = cc.weighted_space_from_obj({**cc.space_to_obj(s3), **extra})
+        assert w.weights == (Fraction(1),) * 3

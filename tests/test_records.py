@@ -122,3 +122,13 @@ class TestCachedParts:
         assert "observed" in vars(cert) and "observed" in vars(fresh)
         assert cert == bounds.BoundCertificate(s3, params, 14, None)
         assert hash(cert) == hash(bounds.BoundCertificate(s3, params, 14, None))
+
+
+class TestReports:
+    def test_unknown_format_is_refused(self):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            cc.write_report({"a": 1}, fmt="xml")
+
+    @pytest.mark.parametrize("obj, text", [([], " = []\n"), ({"a": [], "b": [1, 2]}, "a = []\nb = 1 2\n")])
+    def test_empty_lists_render_as_brackets(self, obj, text):
+        assert cc.render_text(obj) == text

@@ -408,6 +408,11 @@ class TestFileFormat:
         with pytest.raises(SpaceFormatError, match="trailing"):
             cc.load_space("1\na\n0\nextra\n")
 
+    @pytest.mark.parametrize("obj", [{"labels": ["a"]}, {"dist": [["0"]]}, []], ids=["no-dist", "no-labels", "list"])
+    def test_obj_missing_field(self, obj):
+        with pytest.raises(SpaceFormatError, match="space object is missing field"):
+            cc.space_from_obj(obj)
+
     def test_obj_declared_n_mismatch(self, s3):
         obj = cc.space_to_obj(s3)
         obj["n"] = 5
@@ -593,6 +598,45 @@ class TestPlainDecimal:
     @staticmethod
     def _refuse(cell):
         raise AssertionError(f"{cell!r} left the plain-decimal path")
+
+
+class TestExponent:
+    """An exponent beyond 4300 in magnitude is refused before ``Fraction`` runs,
+    since ``Fraction`` computes 10**exponent first."""
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [
+            ("1e300", Fraction(10**300)),
+            ("2.5e-3", Fraction(1, 400)),
+            ("1E4300", Fraction(10**4300)),
+            ("-1e-4300", Fraction(-1, 10**4300)),
+            (" 5e+0_1 ", Fraction(50)),
+            ("1e" + "0" * 4299 + "1", Fraction(10)),
+            ("1e٣", Fraction(1000)),
+            (Decimal("2.5e-3"), Fraction(1, 400)),
+            (Decimal("1E+4300"), Fraction(10**4300)),
+        ],
+    )
+    def test_accepted(self, value, expected):
+        assert cc.as_fraction(value) == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1e4301", "1e-4301", "1E+99999", " 1e-99999 ", "1/2e99999", "1e٩٩٩٩٩", "1e1_0000",
+         "1e" + "0" * 4300 + "1", "1e" + "9" * 5000, Decimal("1e4301"), Decimal("1e-99999")],
+    )
+    def test_refused(self, value):
+        # Exponents cheap enough that a missing check fails here rather than hangs;
+        # tests/test_cli.py runs the slow ones in processes with a timeout.
+        with pytest.raises(ValueError, match="exceeds 4300 in magnitude"):
+            cc.as_fraction(value)
+
+    def test_table_cell_and_weight(self):
+        with pytest.raises(SpaceFormatError, match=r"bad distance at \(0,1\): exponent"):
+            cc.build_space("ab", [["0", "1e5000"], ["1e5000", "0"]])
+        with pytest.raises(SpaceFormatError, match="weights line: exponent"):
+            load_weighted_space("1\na\n0\n1e-5000\n")
 
 
 class TestBlankLines:

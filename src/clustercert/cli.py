@@ -58,7 +58,8 @@ def _read_input(path: str, from_obj, from_text=None):
             return from_obj(json.loads(text))
         return from_text(text)
     except (OSError, ValueError, TypeError, RecursionError) as exc:
-        raise SpaceFormatError(f"{path}: {exc}") from exc
+        # An OSError's own text names the file again.
+        raise SpaceFormatError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -5,8 +5,8 @@ diameter at most 2r (a maximum clique in the threshold graph) together with
 its closed r-neighborhood, until the point set is exhausted. The exact search
 finds a maximum-measure family of k pairwise-separated 2r-clusters by branch
 and bound over point assignments. Both bound a clique by the colours of a
-greedy colouring: the maximum clique search for its candidates, the exact
-search for the points each cluster can still take.
+greedy colouring: the maximum clique search for each of its candidates, the
+exact search for the points each cluster can still take.
 
 All tie-breaking is lexicographic by point index, so both procedures are
 deterministic and reproducible.
@@ -121,37 +121,62 @@ def max_cluster(space: FiniteSemimetricSpace, points: Iterable[int], d) -> froze
     """Maximum-cardinality subset of ``points`` with diameter at most d.
 
     Equivalent to a maximum clique in the threshold graph {(u, v): rho <= d}
-    restricted to the subset. Branch and bound explores vertices in ascending
-    index order with a greedy-coloring upper bound; pruning only discards
-    subtrees that cannot strictly beat the incumbent, so the first optimum
-    found -- and returned -- is the lexicographically smallest one.
+    restricted to the subset, found in two passes. The first finds its size
+    omega and one such clique. The second builds the lexicographically first
+    omega-clique: it takes each candidate, in ascending order, whose adjacent
+    candidates above it still hold the points missing, as the clique in hand
+    shows for its own points and the first pass's search decides for others.
     """
     full = _mask(points)
-    if not full:
-        return frozenset()
     # A vertex's own bit is never a candidate when its row is read.
     adj = space.within(d)
-    best: list[int] = []
+    omega, witness = _clique(full, adj, 0, full.bit_count())
+    clique, cand = [], full
+    while len(clique) < omega:
+        low = cand & -cand
+        cand ^= low
+        grown = cand & adj[low.bit_length() - 1]
+        if not witness & low:
+            rest = omega - len(clique) - 1  # points still to add after this one
+            size, found = _clique(grown, adj, rest - 1, rest)
+            if size < rest:
+                continue
+            witness = found | low
+        clique.append(low.bit_length() - 1)
+        cand, witness = grown, witness ^ low
+    return frozenset(clique)
 
-    def expand(current: list[int], cand: int) -> None:
-        nonlocal best
-        if len(current) > len(best):
-            best = current.copy()
-        if not cand:
-            return
-        if len(current) + cand.bit_count() <= len(best):
-            return
-        if len(current) + _color_count(cand, adj) <= len(best):
-            return
-        while cand:
-            if len(current) + cand.bit_count() <= len(best):
+
+def _clique(cand: int, adj, floor: int, enough: int) -> tuple[int, int]:
+    """Size and mask of the largest clique of ``cand`` in the graph ``adj`` if
+    above ``floor``, else ``floor`` and 0; it stops at ``enough`` points.
+    Tomita and Seki's MCQ: a node colours its candidates first fit, from the
+    highest point down so that low points are tried first, and branches on
+    them from the last colour down until the size plus the colour cannot win."""
+    best, found = floor, 0
+
+    def expand(cand: int, size: int, members: int) -> None:
+        nonlocal best, found
+        if size > best:
+            best, found = size, members
+        order, colour, uncoloured = [], 0, cand  # order: (colour, vertex bit), the colours ascending
+        while uncoloured:
+            colour += 1
+            free = uncoloured
+            while free:
+                bit = 1 << free.bit_length() - 1
+                uncoloured ^= bit
+                free &= ~(adj[bit.bit_length() - 1] | bit)
+                if size + colour > best:
+                    order.append((colour, bit))
+        for colour, bit in reversed(order):
+            if size + colour <= best or best >= enough:
                 return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            expand(current + [v], cand & adj[v])
+            cand ^= bit
+            expand(cand & adj[bit.bit_length() - 1], size + 1, members | bit)
 
-    expand([], full)
-    return frozenset(best)
+    expand(cand, 0, 0)
+    return best, found
 
 
 def _color_count(cand: int, adj) -> int:
@@ -171,12 +196,9 @@ def _color_count(cand: int, adj) -> int:
     return colors
 
 
-def _greedy_long_matching(
-    space: FiniteSemimetricSpace, points: Iterable[int], r: Fraction
-) -> tuple[tuple[int, int], ...]:
-    """Inclusion-wise maximal matching of long edges (rho > 3r), taken
-    greedily in lexicographic edge order."""
-    not_long = space.within(3 * r)
+def _greedy_long_matching(not_long, points: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """Inclusion-wise maximal matching of long edges (rho > 3r, outside the
+    rows ``not_long`` of ``within(3r)``), taken greedily in lexicographic edge order."""
     free = _mask(points)
     matching: list[tuple[int, int]] = []
     while free:
@@ -204,19 +226,19 @@ def greedy_decomposition(space: FiniteSemimetricSpace, params: ScaleParams) -> G
     contains ``x``). The parts partition the space and the kernel sizes are
     non-increasing. The result is frozen and safe to share.
     """
-    r = params.r
-    k = params.k
-    near = space.within(r)
+    r, k = params.r, params.k
+    two_r = 2 * r
+    view = space._scale(r)
     residual = set(space.points())
     parts: list[DecompositionPart] = []
     while residual:
-        x = max_cluster(space, residual, 2 * r)
+        x = max_cluster(space, residual, two_r)
         reach = 0
         for q in x:
-            reach |= near[q]
+            reach |= view.near[q]
         z = frozenset(p for p in residual if reach >> p & 1)
         residual -= z
-        matching = _greedy_long_matching(space, z - x, r)
+        matching = _greedy_long_matching(view.reach, z - x)
         u = frozenset(p for edge in matching for p in edge)
         parts.append(
             DecompositionPart(
@@ -293,8 +315,8 @@ def exact_structure(
     refusal = _refusal(n, max_points)
     if refusal is not None:
         raise SearchLimitError(refusal)
-    share = space.within(2 * r)
-    close = space.within(r, strict=True)
+    view = space._scale(r)
+    share, close = view.share, view.close
 
     cluster_masks = [0] * k
     best_measure = -1
@@ -365,8 +387,8 @@ def validate_structure(
 ) -> StructureValidation:
     """Check diameter, pairwise separation, and disjointness, reporting every
     violation with a witness pair. Violations are data, not errors."""
-    share = space.within(2 * params.r)
-    close = space.within(params.r, strict=True)
+    view = space._scale(params.r)
+    share, close = view.share, view.close
     violations: list[StructureViolation] = []
     clusters = structure.clusters
     for i, cluster in enumerate(clusters):

@@ -263,9 +263,9 @@ def uniformize(
     multiplicities = [a // g for a in numerators]
     total = sum(multiplicities)
     if total > max_total_multiplicity:
-        raise ValueError(
-            f"uniformized space needs {total} points, above the cap of {max_total_multiplicity}"
-        )
+        # Python refuses str() of an int beyond its digit limit (at least 640 digits).
+        needs = total if total.bit_length() <= 2000 else f"more than 10^{(total.bit_length() - 1) * 3 // 10}"
+        raise ValueError(f"uniformized space needs {needs} points, above the cap of {max_total_multiplicity}")
 
     # Base ranks: the least across two parts, and rank 0 (distance 0) inside one.
     cross = [[0] * len(parts) for _ in parts]

@@ -209,6 +209,38 @@ class ScaleParams(Record):
         _positive_order(self.k)
 
 
+# Translate tables from a class byte to "1" or "0": the rows of cut t keep classes 0..t.
+_CLASS_BITS = [bytes(48 + (c <= t) for c in range(256)) for t in range(4)]
+
+
+class _Scale(Record):
+    """The threshold rows of one scale r: ``close`` is ``within(r, strict=True)``,
+    ``near`` ``within(r)``, ``share`` ``within(2r)`` and ``reach`` ``within(3r)``."""
+
+    close: tuple[int, ...]
+    near: tuple[int, ...]
+    share: tuple[int, ...]
+    reach: tuple[int, ...]
+
+    @cached_property
+    def components(self) -> tuple[int, ...]:
+        """The connected components of the near graph as masks, by lowest point."""
+        near, components = self.near, []
+        left = (1 << len(near)) - 1
+        while left:
+            # Grow the component of the lowest unvisited point, one layer a pass.
+            comp = frontier = left & -left
+            while frontier:
+                reach = 0
+                for p in _bits(frontier):
+                    reach |= near[p]
+                frontier = reach & ~comp
+                comp |= frontier
+            left &= ~comp
+            components.append(comp)
+        return tuple(components)
+
+
 class FiniteSemimetricSpace(Record):
     """Immutable point set with an exact symmetric distance table.
 
@@ -249,15 +281,43 @@ class FiniteSemimetricSpace(Record):
         (anticlique) pairs ``~within(r)``, cluster mates ``within(2r)`` and
         separated pairs ``~within(r, strict=True)``.
 
-        Memoized on the instance per (d, strict): each threshold costs one
-        bisection and n^2 rank comparisons once; rows go away with the space.
+        Memoized on the instance per (numerator, denominator, strict) of d:
+        each threshold costs one bisection and one pass over the ranks once.
         """
         d = as_fraction(d)
-        memo = self._within_memo
-        if (d, strict) not in memo:
-            cut = (bisect_left if strict else bisect_right)(self.values, d)
-            memo[d, strict] = tuple(_mask(q for q, x in enumerate(row) if x < cut) for row in self.ranks)
-        return memo[d, strict]
+        key = (d.numerator, d.denominator, strict)
+        rows = self._within_memo.get(key)
+        if rows is None:
+            rows = self._within_memo[key] = self._threshold_rows([(d, strict)])[0]
+        return rows
+
+    def _scale(self, r) -> _Scale:
+        """The ``within`` rows at r (strict and closed), 2r and 3r, memoized in the ``within`` memo
+        per (numerator, denominator) of r; a row memoized before stays the one ``within`` returns."""
+        r, memo = as_fraction(r), self._within_memo
+        view = memo.get((r.numerator, r.denominator))
+        if view is None:
+            thresholds = ((r, True), (r, False), (2 * r, False), (3 * r, False))
+            keys = [(d.numerator, d.denominator, strict) for d, strict in thresholds]
+            # Distances are non-negative, so the cuts ascend even for r < 0; a dict drops repeats (r = 0).
+            todo = {key: threshold for key, threshold in zip(keys, thresholds) if key not in memo}
+            memo.update(zip(todo, self._threshold_rows(list(todo.values()))))
+            view = memo[r.numerator, r.denominator] = _Scale(*map(memo.__getitem__, keys))
+        return view
+
+    def _threshold_rows(self, thresholds) -> list[tuple[int, ...]]:
+        """The ``within`` rows of each (d, strict) in ``thresholds``, whose cuts into
+        ``values`` ascend. A row at a time, each cell gets a class byte, the number of
+        cuts at or below its rank, and one translate per cut makes the row's bitmask;
+        a row object that several points share is read once."""
+        cuts = [(bisect_left if strict else bisect_right)(self.values, d) for d, strict in thresholds]
+        byte = bytes(bisect_right(cuts, x) for x in range(len(self.values))).__getitem__
+        done = {}
+        for row in self.ranks:
+            if id(row) not in done:
+                line = bytes(map(byte, reversed(row)))  # bit q is the last-but-q byte
+                done[id(row)] = [int(line.translate(table), 2) for table in _CLASS_BITS[: len(cuts)]]
+        return list(zip(*[done[id(row)] for row in self.ranks])) or [()] * len(cuts)
 
     @cached_property
     def _within_memo(self) -> dict:

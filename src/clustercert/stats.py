@@ -10,7 +10,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import factorial
 
-from .space import FiniteSemimetricSpace, Record, ScaleParams, _is_int, _mask, as_fraction
+from .space import FiniteSemimetricSpace, Record, ScaleParams, _is_int, _mask
 
 __all__ = [
     "ObservedParams",
@@ -52,16 +52,14 @@ def medium_edge_count(space: FiniteSemimetricSpace, r, points: Iterable[int] | N
     """Number of unordered pairs at distance in (r, 3r], optionally restricted
     to a point subset. Equals half the ordered-pair measure under the uniform
     counting measure."""
-    r = as_fraction(r)
-    medium = [reach & ~near for reach, near in zip(space.within(3 * r), space.within(r))]
-    return _pair_count(space, medium, points)
+    view = space._scale(r)
+    return _pair_count(space, [reach & ~near for reach, near in zip(view.reach, view.near)], points)
 
 
 def long_edge_count(space: FiniteSemimetricSpace, r, points: Iterable[int] | None = None) -> int:
     """Number of unordered pairs at distance above 3r, optionally restricted
     to a point subset."""
-    r = as_fraction(r)
-    return _pair_count(space, [~row for row in space.within(3 * r)], points)
+    return _pair_count(space, [~row for row in space._scale(r).reach], points)
 
 
 def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
@@ -73,8 +71,9 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
     sets of the near graph. Such a set is one (maybe empty) set per near
     component, so T_s = [x^s] of the product of the components' independence
     polynomials; a near-clique of m points gives the factor 1 + m*x.
-    Components come from a bitset search; one walk per component, in
-    ascending index order, tallies its sets of every order up to s.
+    The components come from the space's view at scale r, found once per r;
+    one walk per component, in ascending index order, tallies its sets of
+    every order up to s.
     """
     if not _is_int(s) or s < 0:
         raise ValueError(f"anticlique order must be a non-negative integer, got {s!r}")
@@ -83,8 +82,8 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
     n = space.n
     if s > n:
         return 0
-    near = space.within(r)
-    far = [~row for row in near]
+    view = space._scale(r)
+    far = [~row for row in view.near]
 
     def walk(cand: int, size: int, tally: list[int]) -> None:
         # Each point of cand extends the current size-point set by one.
@@ -99,19 +98,7 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
                     walk(rest, size + 1, tally)
 
     factors = []
-    left = (1 << n) - 1
-    while left:
-        # Grow the component of the lowest unvisited point, one layer a pass.
-        comp = frontier = left & -left
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                reach |= near[low.bit_length() - 1]
-            frontier = reach & ~comp
-            comp |= frontier
-        left &= ~comp
+    for comp in view.components:
         tally = [0] * s
         walk(comp, 0, tally)
         factors.append(tally)

@@ -97,7 +97,7 @@ def _check_p2(cert, tight):
     # max(n, 2|B|) * |A \ B| / 2 for B a maximum 2r-cluster.
     n = cert.space.n
     everyone = (1 << n) - 1
-    if any(row != everyone for row in cert.space.within(3 * cert.params.r)):
+    if any(row != everyone for row in cert.space._scale(cert.params.r).reach):
         return _not_applicable("P2", "space diameter exceeds 3r")
     # Greedy step 0 is a maximum 2r-cluster of the whole space.
     parts = cert.decomposition.parts

@@ -28,6 +28,7 @@ from clustercert.space import (
     ScaleParams,
     SpaceFormatError,
     _is_int,
+    _mask,
     _positive_order,
     _positive_scale,
     as_fraction,
@@ -616,3 +617,62 @@ def reference_uniformize(
     # The diagonal of ``cross`` is 0, the distance inside a block.
     labels, block_of = _blocks("a", multiplicities)
     return build_space(labels, [[cross[a][b] for b in block_of] for a in block_of])
+
+
+# ---------------------------------------------------------------------------
+# The maximum-clique search before it ran in two passes, kept verbatim (apart
+# from its names) as the reference for ``clustering.max_cluster``.
+# ---------------------------------------------------------------------------
+
+def reference_max_cluster(space: FiniteSemimetricSpace, points, d) -> frozenset[int]:
+    """Maximum-cardinality subset of ``points`` with diameter at most d.
+
+    Equivalent to a maximum clique in the threshold graph {(u, v): rho <= d}
+    restricted to the subset. Branch and bound explores vertices in ascending
+    index order with a greedy-coloring upper bound; pruning only discards
+    subtrees that cannot strictly beat the incumbent, so the first optimum
+    found -- and returned -- is the lexicographically smallest one.
+    """
+    full = _mask(points)
+    if not full:
+        return frozenset()
+    # A vertex's own bit is never a candidate when its row is read.
+    adj = space.within(d)
+    best: list[int] = []
+
+    def expand(current: list[int], cand: int) -> None:
+        nonlocal best
+        if len(current) > len(best):
+            best = current.copy()
+        if not cand:
+            return
+        if len(current) + cand.bit_count() <= len(best):
+            return
+        if len(current) + _reference_color_count(cand, adj) <= len(best):
+            return
+        while cand:
+            if len(current) + cand.bit_count() <= len(best):
+                return
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            expand(current + [v], cand & adj[v])
+
+    expand([], full)
+    return frozenset(best)
+
+
+def _reference_color_count(cand: int, adj) -> int:
+    """Colours of a greedy proper colouring of ``cand`` in the graph ``adj``,
+    an upper bound on its largest clique. Each class takes the lowest free
+    vertex and drops its neighbours, which gives the classes of first-fit
+    colouring in ascending order. A vertex's own bit is cleared explicitly:
+    rows of ``within(d)`` have no diagonal bit when d < 0."""
+    colors = 0
+    while cand:
+        colors += 1
+        free = cand
+        while free:
+            low = free & -free
+            cand ^= low
+            free &= ~(adj[low.bit_length() - 1] | low)
+    return colors

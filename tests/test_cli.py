@@ -106,7 +106,15 @@ class TestAnalyze:
             capsys, "analyze", "--input", str(tmp_path / "nope"), "--r", "1", "--k", "1"
         )
         assert code == 1
-        assert "error:" in err
+        assert err == f"error: {tmp_path / 'nope'}: No such file or directory\n"
+
+    def test_multiplicity_total_beyond_the_digit_limit(self, capsys, tmp_path):
+        # 10^4300 points: the message gives the size without writing the total out.
+        path = tmp_path / "w.space"
+        path.write_text("2\na b\n0 1\n1 0\n1e-4300 1\n", encoding="utf-8")
+        code, out, err = _run(capsys, "discretize", "--input", str(path), "--eps", "0.5")
+        assert code == 1 and not out
+        assert err == "error: uniformized space needs more than 10^4285 points, above the cap of 100000\n"
 
     def test_json_object_input(self, capsys, tmp_path, s3):
         path = tmp_path / "s3.json"

@@ -53,6 +53,46 @@ class TestMaxCluster:
         assert cc.max_cluster(space, subset, d) == oracles.max_cluster(space, subset, d)
 
 
+def _diameters(space):
+    """Below 0, each distance, each midpoint of neighbouring distances and above the largest."""
+    values = space.values
+    return [Fraction(-1), *values, *((a + b) / 2 for a, b in zip(values, values[1:])), values[-1] + 1]
+
+
+# The analyze-large benchmark rungs (points, k, noise), planted at r = 1.
+ANALYZE_RUNGS = [
+    (100, 2, "1/100"), (120, 3, "1/20"), (140, 3, "1/100"), (100, 3, "1/10"),
+    (160, 3, "1/100"), (120, 2, "1/100"), (140, 3, "1/20"), (120, 3, "1/10"),
+]
+
+
+class TestMaxClusterEquivalence:
+    """``max_cluster`` returns the clique its verbatim predecessor returns."""
+
+    @given(
+        space=st.one_of(
+            oracles.semimetric_spaces(min_n=1, max_n=12),
+            oracles.line_metric_spaces(min_n=1, max_n=16, span=12),
+            oracles.block_spaces(),
+        ),
+        data=st.data(),
+    )
+    def test_same_clique(self, space, data):
+        subset = data.draw(st.sets(st.integers(0, space.n - 1)))
+        d = data.draw(st.sampled_from(_diameters(space)))
+        assert cc.max_cluster(space, subset, d) == oracles.reference_max_cluster(space, subset, d)
+
+    @pytest.mark.parametrize("n, k, noise", ANALYZE_RUNGS)
+    def test_same_kernels_on_planted_spaces(self, monkeypatch, n, k, noise):
+        # Every greedy step of the predecessor, on every residual set.
+        sizes = [n // k + (i < n % k) for i in range(k)]
+        space = cc.planted_instance(k, sizes, Fraction(noise), 1, n + k)
+        params = cc.ScaleParams(r=Fraction(1), k=k)
+        kernels = [p.x for p in cc.greedy_decomposition(space, params).parts]
+        monkeypatch.setattr(cc.clustering, "max_cluster", oracles.reference_max_cluster)
+        assert kernels == [p.x for p in cc.greedy_decomposition(space, params).parts]
+
+
 class TestGreedyDecomposition:
     def test_three_point_parts(self, s3, s3_params):
         decomp = cc.greedy_decomposition(s3, s3_params)

@@ -153,6 +153,43 @@ class TestRankLayer:
                 for twin in (space, parsed, unshared):
                     assert twin.within(d, strict=strict) == expected
 
+    @given(space=oracles.semimetric_spaces(), r=st.sampled_from([Fraction(-1, 2), Fraction(1, 3), *oracles.PALETTE]))
+    def test_rows_shared_by_points_match_the_fraction_reference(self, space, r):
+        # Each point doubled at distance 0; both copies hold one row object, read once.
+        row_of = [tuple(x for x in row for _ in (0, 1)) for row in space.ranks]
+        ranks = tuple(row for row in row_of for _ in (0, 1))
+        doubled = cc.FiniteSemimetricSpace(tuple(map(str, range(len(ranks)))), space.values, ranks)
+        view = doubled._scale(r)
+        assert (view.close, view.near) == (oracles.within(doubled, r, strict=True), oracles.within(doubled, r))
+        assert (view.share, view.reach) == (oracles.within(doubled, 2 * r), oracles.within(doubled, 3 * r))
+        for d in _thresholds(space):
+            for strict in (False, True):
+                assert doubled.within(d, strict=strict) == oracles.within(doubled, d, strict)
+
+    @given(space=oracles.semimetric_spaces(), r=st.sampled_from([Fraction(-1, 2), Fraction(1, 3), *oracles.PALETTE]),
+           shared_first=st.booleans())
+    def test_scale_view_matches_the_fraction_reference(self, space, r, shared_first):
+        if shared_first:  # a row memoized before the view is the one the view holds
+            space.within(2 * r)
+        view = space._scale(r)
+        assert view.close == oracles.within(space, r, strict=True)
+        assert view.near == oracles.within(space, r)
+        assert view.share == oracles.within(space, 2 * r)
+        assert view.reach == oracles.within(space, 3 * r)
+        assert view.close is space.within(r, strict=True) and view.near is space.within(r)
+        assert view.share is space.within(2 * r) and view.reach is space.within(3 * r)
+        assert space._scale(str(r)) is view
+        # The near components partition the points; each is closed under near and connected.
+        parts = [[p for p in range(space.n) if comp >> p & 1] for comp in view.components]
+        assert sorted(p for members in parts for p in members) == list(range(space.n))
+        assert sum(view.components) == (1 << space.n) - 1  # no bit above the points
+        for comp, members in zip(view.components, parts):
+            assert all(view.near[p] & ~comp == 0 for p in members)
+            reached = {members[0]}
+            for _ in members:
+                reached |= {q for p in reached for q in members if space.rho(p, q) <= r}
+            assert reached == set(members)
+
     @given(space=oracles.semimetric_spaces(), d=st.sampled_from(oracles.PALETTE))
     def test_pickle_keeps_hash_and_within(self, space, d):
         expected = space.within(d)

@@ -261,7 +261,8 @@ class BoundCertificate(Record):
 
     @cached_property
     def exact_note(self) -> str | None:
-        """Why ``exact`` is missing or not optimal, or None."""
+        """Why ``exact`` is missing or not optimal, or None. The verdicts and the
+        checks P1 and T1 read the exact measure only when this is None."""
         if self.exact is None:
             return clustering._refusal(self.space.n, self.exact_limit)
         return None if self.exact.optimal else "node budget exhausted; best structure found so far"
@@ -278,7 +279,7 @@ class BoundCertificate(Record):
             )
         ]
         measures = {"greedy": greedy.measure}
-        if exact is not None:
+        if self.exact_note is None:  # only a proven optimum is compared
             measures["exact"] = exact.measure
             verdicts.append(
                 Verdict(

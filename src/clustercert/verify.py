@@ -72,9 +72,9 @@ def _check_p1(cert, tight):
     n = cert.space.n
     if n != tight.n:
         return _not_applicable("P1", "space size does not match the construction")
-    exact = cert.exact
-    if exact is None or not exact.optimal:
+    if cert.exact_note is not None:
         return _not_applicable("P1", cert.exact_note)
+    exact = cert.exact
     obs = cert.observed
     m_count, t_top = obs.medium_edges, obs.anticliques_k_plus_1
     t_expected = tight.m0 * tight.m**params.k
@@ -163,9 +163,9 @@ def _check_t1(cert, tight):
     ev = cert.bounds
     if ev.reason is not None:  # always so at n = 0, where alpha = 0
         return _not_applicable("T1", ev.reason)
-    exact = cert.exact
-    if exact is None or not exact.optimal:
+    if cert.exact_note is not None:
         return _not_applicable("T1", cert.exact_note)
+    exact = cert.exact
     greedy = cert.greedy
     passed = ev.meets(greedy.measure, n) and ev.meets(exact.measure, n)
     witness = None
@@ -403,9 +403,13 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     )
 
 
-def replay_failure(record: FailureRecord, *, exact_limit: int = DEFAULT_EXACT_LIMIT) -> CheckResult:
-    """Re-load a failure's embedded instance and re-run its check."""
+def replay_failure(record: FailureRecord, *, exact_limit: int | None = None) -> CheckResult:
+    """Re-load a failure's embedded instance and re-run its check. Without an
+    ``exact_limit``, the search admits the recorded space, which the recording
+    run searched."""
     space = load_space(record.space_text)
+    if exact_limit is None:
+        exact_limit = max(DEFAULT_EXACT_LIMIT, space.n)
     params = ScaleParams(r=as_fraction(record.r), k=record.k)
     return check_proposition(
         space, params, record.prop_id, tight=record.tight, exact_limit=exact_limit

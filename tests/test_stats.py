@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import clustercert as cc
 
@@ -205,6 +205,21 @@ class TestObservedParameters:
     def test_empty_space_all_zero(self):
         obs = cc.observed_parameters(cc.build_space([], []), cc.ScaleParams(r=1, k=2))
         assert obs == cc.ObservedParams(Fraction(0), Fraction(0), Fraction(0), 0, 0, 0)
+
+    @given(
+        space=st.one_of(oracles.semimetric_spaces(), oracles.line_metric_spaces(), oracles.block_spaces()),
+        r=st.sampled_from(oracles.PALETTE[1:]),
+    )
+    @example(space=cc.build_space([], []), r=Fraction(1))
+    def test_counts_match_anticlique_count_at_the_order_boundary(self, space, r):
+        # One walk up to order min(k + 1, n) yields T_k and T_{k+1}; k runs
+        # through n - 1, n and n + 1. Subset enumeration reaches n <= 8; the
+        # larger block spaces take the whole-space backtrack.
+        reference = oracles.anticliques if space.n <= 8 else oracles.anticlique_backtrack
+        for k in range(1, space.n + 3):
+            obs = cc.observed_parameters(space, cc.ScaleParams(r=r, k=k))
+            for s, count in ((k, obs.anticliques_k), (k + 1, obs.anticliques_k_plus_1)):
+                assert count == cc.anticlique_count(space, r, s) == reference(space, r, s)
 
     @given(
         space=oracles.semimetric_spaces(min_n=1),

@@ -329,20 +329,25 @@ class TestFailureRoundTrip:
         assert record.to_obj()["tight"] == {"k": 1, "m": 2, "m0": 2, "r": "1"}
         assert "tight" not in verify.FailureRecord(**fields).to_obj()
 
-    def test_suite_failure_reaches_the_report_and_replays(self, monkeypatch):
-        # P4 with its verdict inverted fails wherever P4 passes, keeping P4's
-        # lhs and rhs. The suite counts them on generated spaces and the
-        # replay on the space parsed back from the report.
-        check_p4 = verify._CHECKS["P4"]
+    @staticmethod
+    def _invert(monkeypatch, prop_id):
+        # The check with its verdict inverted fails wherever it passes,
+        # keeping its lhs and rhs.
+        check = verify._CHECKS[prop_id]
 
         def inverted(cert, tight):
-            result = check_p4(cert, tight)
+            result = check(cert, tight)
             return verify.CheckResult(
                 result.prop_id, result.applicable, not result.passed, result.lhs, result.rhs,
                 note="inverted", witness=result.witness,
             )
 
-        monkeypatch.setitem(verify._CHECKS, "P4", inverted)
+        monkeypatch.setitem(verify._CHECKS, prop_id, inverted)
+
+    def test_suite_failure_reaches_the_report_and_replays(self, monkeypatch):
+        # The suite counts the inverted P4's failures on generated spaces and
+        # the replay on the space parsed back from the report.
+        self._invert(monkeypatch, "P4")
         report = verify.run_suite(verify.SuiteConfig(seed=3, trials=6, max_n=6))
         obj = json.loads(cc.write_report(report))
         assert obj["failureCount"] == len(obj["failures"]) == obj["tallies"]["P4"]["failed"] == 6
@@ -352,6 +357,21 @@ class TestFailureRoundTrip:
             replayed = verify.replay_failure(record)
             assert replayed.passed is False
             assert (str(replayed.lhs), str(replayed.rhs)) == (entry["lhs"], entry["rhs"])
+
+    def test_failure_above_the_default_limit_replays(self, monkeypatch):
+        # With exact_limit 16 the inverted T1 fails on spaces the default
+        # limit of 14 would refuse; without a limit the replay admits them,
+        # and an explicit limit still wins.
+        self._invert(monkeypatch, "T1")
+        report = verify.run_suite(verify.SuiteConfig(seed=5, trials=40, max_n=16, exact_limit=16))
+        sizes = [cc.load_space(record.space_text).n for record in report.failures]
+        assert max(sizes) > clustering.DEFAULT_EXACT_LIMIT
+        for record, n in zip(report.failures, sizes):
+            replayed = verify.replay_failure(record)
+            assert replayed.passed is False
+            assert (str(replayed.lhs), str(replayed.rhs)) == (record.lhs, record.rhs)
+            if n > clustering.DEFAULT_EXACT_LIMIT:
+                assert not verify.replay_failure(record, exact_limit=clustering.DEFAULT_EXACT_LIMIT).applicable
 
     def test_report_keeps_the_generator_mix(self):
         report = verify.run_suite(verify.SuiteConfig(seed=1, trials=3, max_n=5))

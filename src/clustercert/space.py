@@ -214,13 +214,31 @@ _CLASS_BITS = [bytes(48 + (c <= t) for c in range(256)) for t in range(4)]
 
 
 class _Scale(Record):
-    """The threshold rows of one scale r, and nothing else: ``close`` is ``within(r, strict=True)``,
+    """The threshold rows of one scale r: ``close`` is ``within(r, strict=True)``,
     ``near`` ``within(r)``, ``share`` ``within(2r)`` and ``reach`` ``within(3r)``."""
 
     close: tuple[int, ...]
     near: tuple[int, ...]
     share: tuple[int, ...]
     reach: tuple[int, ...]
+
+    @cached_property
+    def components(self) -> tuple[int, ...]:
+        """The connected components of the near graph as masks, by lowest point."""
+        near, components = self.near, []
+        left = (1 << len(near)) - 1
+        while left:
+            # Grow the component of the lowest unvisited point, one layer a pass.
+            comp = frontier = left & -left
+            while frontier:
+                reach = 0
+                for p in _bits(frontier):
+                    reach |= near[p]
+                frontier = reach & ~comp
+                comp |= frontier
+            left &= ~comp
+            components.append(comp)
+        return tuple(components)
 
 
 class FiniteSemimetricSpace(Record):

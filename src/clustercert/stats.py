@@ -10,7 +10,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import factorial
 
-from .space import FiniteSemimetricSpace, Record, ScaleParams, _bits, _is_int, _mask
+from .space import FiniteSemimetricSpace, Record, ScaleParams, _is_int, _mask
 
 __all__ = [
     "ObservedParams",
@@ -63,28 +63,27 @@ def long_edge_count(space: FiniteSemimetricSpace, r, points: Iterable[int] | Non
 
 
 def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
-    """Number of s-point subsets that are pairwise at distance strictly above r,
-    coefficient s of :func:`_anticlique_polynomial`. This is the subset count;
-    the ordered-tuple measure is s! times larger (tuples with repeats are
-    impossible since self-distance 0 <= r)."""
+    """Number of s-point subsets that are pairwise at distance strictly above r.
+
+    This is the subset count; the ordered-tuple measure is s! times larger
+    (tuples with repeats are impossible since self-distance 0 <= r). Far is
+    the complement of near (``within(r)``), so these are the independent
+    sets of the near graph. Such a set is one (maybe empty) set per near
+    component, so T_s = [x^s] of the product of the components' independence
+    polynomials; a near-clique of m points gives the factor 1 + m*x.
+    The components come from the space's view at scale r, found once per r;
+    one walk per component, in ascending index order, tallies its sets of
+    every order up to s.
+    """
     if not _is_int(s) or s < 0:
         raise ValueError(f"anticlique order must be a non-negative integer, got {s!r}")
     if s == 0:
         return 1
-    if s > space.n:
+    n = space.n
+    if s > n:
         return 0
-    return _anticlique_polynomial(space, r, s)[s]
-
-
-def _anticlique_polynomial(space: FiniteSemimetricSpace, r, s: int) -> list[int]:
-    """T_0 ... T_s at scale r, for s >= 1 or an empty space. Anticliques are the
-    independent sets of the near graph ``within(r)``, one (maybe empty) set per
-    near component, so T_j is [x^j] of the product of the components'
-    independence polynomials (a near-clique of m points gives 1 + m*x). Each
-    component is walked once, in ascending index order, tallying its sets of
-    every order up to s."""
-    near = space._scale(r).near
-    far = [~row for row in near]
+    view = space._scale(r)
+    far = [~row for row in view.near]
 
     def walk(cand: int, size: int, tally: list[int]) -> None:
         # Each point of cand extends the current size-point set by one.
@@ -98,32 +97,24 @@ def _anticlique_polynomial(space: FiniteSemimetricSpace, r, s: int) -> list[int]
                 if rest:
                     walk(rest, size + 1, tally)
 
-    factors, left = [], (1 << space.n) - 1
-    while left:
-        # Grow the near component of the lowest unvisited point, one layer a pass.
-        comp = frontier = left & -left
-        while frontier:
-            reach = 0
-            for p in _bits(frontier):
-                reach |= near[p]
-            frontier = reach & ~comp
-            comp |= frontier
-        left &= ~comp
-        factors.append([0] * s)
-        walk(comp, 0, factors[-1])
+    factors = []
+    for comp in view.components:
+        tally = [0] * s
+        walk(comp, 0, tally)
+        factors.append(tally)
     return _truncated_product(factors, s)
 
 
-def _truncated_product(factors: Iterable[Sequence[int]], s: int) -> list[int]:
-    """Coefficients 0..s of the product of the polynomials
-    1 + f[0] x + f[1] x^2 + ... over ``factors``, truncated at degree s."""
+def _truncated_product(factors: Iterable[Sequence[int]], s: int) -> int:
+    """[x^s] of the product of the polynomials 1 + f[0] x + f[1] x^2 + ...
+    over ``factors``, truncated at degree s."""
     poly = [1] + [0] * s
     for factor in factors:
         # Descending j reads the old coefficients.
         for j in range(s, 0, -1):
             for i, f in enumerate(factor[:j], 1):
                 poly[j] += poly[j - i] * f
-    return poly
+    return poly[s]
 
 
 def elementary_symmetric(values: Sequence[int], s: int) -> int:
@@ -135,7 +126,7 @@ def elementary_symmetric(values: Sequence[int], s: int) -> int:
     for idx, v in enumerate(vals):
         if not _is_int(v) or v < 0:
             raise ValueError(f"value {idx} must be a non-negative integer, got {v!r}")
-    return _truncated_product([(v,) for v in vals], s)[s]
+    return _truncated_product([(v,) for v in vals], s)
 
 
 def observed_parameters(space: FiniteSemimetricSpace, params: ScaleParams) -> ObservedParams:
@@ -144,9 +135,8 @@ def observed_parameters(space: FiniteSemimetricSpace, params: ScaleParams) -> Ob
     n = space.n
     k = params.k
     m = medium_edge_count(space, params.r)
-    # Orders above n count nothing, so one walk up to min(k + 1, n) gives both.
-    counts = _anticlique_polynomial(space, params.r, min(k + 1, n))
-    t_k, t_k1 = (counts + [0] * (k + 2))[k : k + 2]
+    t_k = anticlique_count(space, params.r, k)
+    t_k1 = anticlique_count(space, params.r, k + 1)
     if n == 0:
         zero = Fraction(0)
         return ObservedParams(zero, zero, zero, 0, 0, 0)

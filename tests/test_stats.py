@@ -212,9 +212,9 @@ class TestObservedParameters:
     )
     @example(space=cc.build_space([], []), r=Fraction(1))
     def test_counts_match_anticlique_count_at_the_order_boundary(self, space, r):
-        # One walk up to order min(k + 1, n) yields T_k and T_{k+1}; k runs
-        # through n - 1, n and n + 1. Subset enumeration reaches n <= 8; the
-        # larger block spaces take the whole-space backtrack.
+        # k runs through n - 1, n and n + 1, where T_{k+1} or both orders
+        # pass n. Subset enumeration reaches n <= 8; the larger block spaces
+        # take the whole-space backtrack.
         reference = oracles.anticliques if space.n <= 8 else oracles.anticlique_backtrack
         for k in range(1, space.n + 3):
             obs = cc.observed_parameters(space, cc.ScaleParams(r=r, k=k))

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
+from itertools import accumulate, islice
 
 from .space import (
     FiniteSemimetricSpace,
@@ -97,6 +98,26 @@ def _rng(seed) -> random.Random:
     return random.Random(seed)
 
 
+def _randints(rng: random.Random, hi: int, count: int) -> Iterator[int]:
+    """``count`` draws of ``rng.randint(1, hi)``, leaving ``rng`` in the same state: on
+    CPython 3.10-3.13 each is 1 plus the first ``getrandbits(hi.bit_length())`` below hi."""
+    bits, getrandbits = hi.bit_length(), rng.getrandbits
+    for _ in range(count):
+        x = getrandbits(bits)
+        while x >= hi:
+            x = getrandbits(bits)
+        yield x + 1
+
+
+def _symmetric(n: int, cells: list[int]) -> list[list[int]]:
+    """The symmetric n by n grid, zero on the diagonal, whose cells above it are ``cells``, row-major."""
+    upper, at = [], 0
+    for i in range(n):
+        upper.append([0] * (i + 1) + cells[at : at + n - i - 1])
+        at += n - i - 1
+    return [[*col[:i], *row[i:]] for i, (row, col) in enumerate(zip(upper, zip(*upper)))]
+
+
 def planted_instance(
     k: int,
     block_sizes: Sequence[int],
@@ -124,18 +145,20 @@ def planted_instance(
 
     rng = _rng(seed)
     labels, block_of = _blocks("b", sizes)
-    n = len(labels)
+    n, ends = len(labels), list(accumulate(sizes))
     # Cells count units of r / _RESOLUTION. For x drawn from 1.._RESOLUTION, and r = _RESOLUTION units,
-    # a short cell is x, a long one 3r + 2x and a re-drawn medium one r + 2x.
-    grid = [[0] * n for _ in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for i, j in pairs:
-        x = rng.randint(1, _RESOLUTION)
-        grid[i][j] = grid[j][i] = x if block_of[i] == block_of[j] else 3 * _RESOLUTION + 2 * x
-    redraw_count = int(noise * len(pairs))  # floor: noise is a non-negative Fraction
-    for i, j in sorted(rng.sample(pairs, redraw_count)):
-        grid[i][j] = grid[j][i] = _RESOLUTION + 2 * rng.randint(1, _RESOLUTION)
-    return _grid_space(labels, grid, (r / _RESOLUTION).__mul__)
+    # a short cell is x, a long one 3r + 2x and a re-drawn medium one r + 2x. ``cells`` holds the pairs
+    # (i, j), i < j, in the order they are drawn: row i is short up to the end of i's block, then long.
+    draws, cells = _randints(rng, _RESOLUTION, n * (n - 1) // 2), []
+    for i, b in enumerate(block_of):
+        cells += islice(draws, ends[b] - i - 1)
+        cells += [3 * _RESOLUTION + 2 * x for x in islice(draws, n - ends[b])]
+    # Sampled as indices, the pairs come out as ``rng.sample(pairs, ...)`` picks them; floor: noise >= 0.
+    redraws = sorted(rng.sample(range(len(cells)), int(noise * len(cells))))
+    for at, x in zip(redraws, _randints(rng, _RESOLUTION, len(redraws))):
+        cells[at] = _RESOLUTION + 2 * x
+    p, q = (r / _RESOLUTION).as_integer_ratio()
+    return _grid_space(labels, _symmetric(n, cells), lambda x: Fraction(x * p, q))
 
 
 def random_metric_instance(n: int, r, seed: int) -> FiniteSemimetricSpace:
@@ -152,10 +175,7 @@ def random_metric_instance(n: int, r, seed: int) -> FiniteSemimetricSpace:
         raise ValueError(f"point count must be a non-negative integer, got {n!r}")
     r = _positive_scale(r)
     rng = _rng(seed)
-    half = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            half[i][j] = half[j][i] = rng.randint(1, 10)
+    half = _symmetric(n, list(_randints(rng, 10, n * (n - 1) // 2)))
     for via in range(n):
         row_via = half[via]
         for row in half:

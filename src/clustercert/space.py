@@ -95,25 +95,20 @@ def format_rational(q: Fraction) -> str:
     :func:`as_fraction`, which keeps space files exact for denominators that
     are not powers of ten (e.g. distances produced by discretization).
     """
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    den = q.denominator
-    twos = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    fives = 0
-    while den % 5 == 0:
-        den //= 5
+    num, den = (q if isinstance(q, Fraction) else Fraction(q)).as_integer_ratio()
+    if den == 1:
+        return str(num)
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
         fives += 1
-    if den != 1:
-        return f"{q.numerator}/{q.denominator}"
+    if rest != 1:
+        return f"{num}/{den}"
     digits = max(twos, fives)
-    scaled = abs(q.numerator) * 10**digits // q.denominator
-    text = str(scaled).rjust(digits + 1, "0")
+    text = str(abs(num) * 10**digits // den).rjust(digits + 1, "0")
     whole, frac = text[:-digits], text[-digits:].rstrip("0")
-    sign = "-" if q.numerator < 0 else ""
+    sign = "-" if num < 0 else ""
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
 
 
@@ -429,6 +424,8 @@ def _ranked_space(labels, firsts: dict, rows: list, require_metric: bool = False
     perm = dict(zip(firsts, map(place.__getitem__, ratios)))
     for i, row in enumerate(rows):  # in place: one table of ids or ranks at a time
         rows[i] = tuple(map(perm.__getitem__, row))
+    if values and not values[0] and sum(row.count(0) for row in rows) > n:
+        rows = list(map({}.setdefault, rows, rows))  # rows i and j can be equal only if rho(i, j) = 0
     space = _checked_space(labels, values, tuple(rows))
     if require_metric:
         rho = [list(map(values.__getitem__, row)) for row in space.ranks]

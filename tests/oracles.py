@@ -455,6 +455,40 @@ def reference_load_space(text: str) -> FiniteSemimetricSpace:
 
 
 # ---------------------------------------------------------------------------
+# The printer before it skipped re-wrapping Fractions, kept verbatim (apart
+# from its name) as the reference for the current one.
+# ---------------------------------------------------------------------------
+
+def reference_format_rational(q: Fraction) -> str:
+    """Render a Fraction losslessly: finite decimal when possible, else "p/q".
+
+    The output always parses back to the same Fraction via
+    :func:`as_fraction`, which keeps space files exact for denominators that
+    are not powers of ten (e.g. distances produced by discretization).
+    """
+    q = Fraction(q)
+    if q.denominator == 1:
+        return str(q.numerator)
+    den = q.denominator
+    twos = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    fives = 0
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        return f"{q.numerator}/{q.denominator}"
+    digits = max(twos, fives)
+    scaled = abs(q.numerator) * 10**digits // q.denominator
+    text = str(scaled).rjust(digits + 1, "0")
+    whole, frac = text[:-digits], text[-digits:].rstrip("0")
+    sign = "-" if q.numerator < 0 else ""
+    return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+
+
+# ---------------------------------------------------------------------------
 # The generators and uniformize before they built ranks from int grids,
 # kept verbatim (apart from their names) as the reference for the current
 # ones: each builds a table of Fractions and hands it to the parser.

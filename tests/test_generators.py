@@ -173,6 +173,11 @@ class TestGeneratorEquivalence:
         args = (3, [53, 53, 54], Fraction(1, 10), Fraction(1), 7)
         assert_same_space(cc.planted_instance(*args), oracles.reference_planted_instance(*args))
 
+    def test_planted_instance_hang_case(self):
+        # 4,485 re-drawn pairs, many across block boundaries.
+        args = (3, [100, 100, 100], Fraction(1, 10), 1, 0)
+        assert_same_space(cc.planted_instance(*args), oracles.reference_planted_instance(*args))
+
     @given(n=st.integers(0, 16), r=st.sampled_from(R_VALUES), seed=st.integers(-(2**40), 2**40))
     @example(n=0, r=Fraction(1), seed=0)
     @example(n=1, r=Fraction(7, 3), seed=0)
@@ -207,6 +212,31 @@ class TestGeneratorEquivalence:
             assert str(caught.value) == str(exc)
         else:
             assert_same_space(cc.uniformize(w, partition, eps, max_total_multiplicity=300), old)
+
+
+class TestDraws:
+    """The generators draw from ``getrandbits`` and sample pair indices, with the
+    stream, the picks and the final state of ``randint`` and of sampling the pairs."""
+
+    @given(hi=st.sampled_from([1, 2, 3, 10, 1000, 1023, 1024, 1025]), seed=st.integers(-(2**40), 2**40),
+           count=st.integers(0, 300))
+    @example(hi=1, seed=0, count=0)
+    @example(hi=1000, seed=7, count=0)
+    @example(hi=1025, seed=3, count=2000)
+    def test_randints_match_randint(self, hi, seed, count):
+        rng, twin = random.Random(seed), random.Random(seed)
+        assert list(cc.generators._randints(rng, hi, count)) == [twin.randint(1, hi) for _ in range(count)]
+        assert rng.getstate() == twin.getstate()
+
+    @given(n=st.integers(0, 120), count=st.integers(0, 8000), seed=st.integers(0, 2**32))
+    @example(n=6, count=5, seed=1)  # 15 pairs: sample copies the population into a pool
+    @example(n=100, count=10, seed=2)  # 4,950 pairs: sample keeps a set of picked indices
+    def test_index_sample_picks_the_pairs(self, n, count, seed):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        count = min(count, len(pairs))
+        rng, twin = random.Random(seed), random.Random(seed)
+        assert [pairs[at] for at in rng.sample(range(len(pairs)), count)] == twin.sample(pairs, count)
+        assert rng.getstate() == twin.getstate()
 
 
 class TestSpaceFromPoints:

@@ -460,6 +460,23 @@ class TestFileFormat:
     def test_round_trip_any_space(self, space):
         assert cc.load_space(cc.dump_space(space)) == space
 
+    @pytest.mark.parametrize("load", [
+        lambda space: cc.load_space(cc.dump_space(space)),
+        lambda space: cc.space_from_obj(json.loads(json.dumps(cc.space_to_obj(space)))),
+    ], ids=["text", "json"])
+    def test_loaded_multiplicity_blocks_share_rows(self, load):
+        base = cc.planted_instance(2, [3, 2], Fraction(1, 10), 1, seed=4)
+        w = cc.WeightedFiniteSpace(base, (3, 1, 2, 4, 2))
+        space = cc.uniformize(w, tuple((p,) for p in base.points()), Fraction(1, 10))
+        loaded = load(space)
+        assert len({id(row) for row in space.ranks}) == len(set(space.ranks)) == base.n < space.n
+        assert len({id(row) for row in loaded.ranks}) == base.n  # one row object per block
+        assert (loaded.labels, loaded.values, loaded.ranks) == (space.labels, space.values, space.ranks)
+        assert hash(loaded) == hash(space)
+        for d in (*space.values, Fraction(1, 3), Fraction(7, 2)):
+            for strict in (False, True):
+                assert loaded.within(d, strict=strict) == space.within(d, strict=strict)
+
 
 
 # ---------------------------------------------------------------------------
@@ -736,3 +753,34 @@ def test_format_rational(value, expected):
 def test_as_fraction_rejects_booleans(value):
     with pytest.raises(TypeError):
         cc.as_fraction(value)
+
+
+def _formatted_rationals():
+    """Fractions whose denominators are 2^a 5^b (a = b or not, up to 60) or
+    anything else, of either sign, zero and integers among them."""
+    numerators = st.integers(-(10**40), 10**40)
+    exponents = st.integers(0, 60)
+    return st.one_of(
+        st.builds(lambda p, a, b: Fraction(p, 2**a * 5**b), numerators, exponents, exponents),
+        st.builds(lambda p, a: Fraction(p, 10**a), numerators, exponents),
+        st.builds(Fraction, numerators, st.integers(1, 10**30)),
+        st.builds(Fraction, numerators),
+    )
+
+
+class TestFormatRational:
+    @given(q=_formatted_rationals(), data=st.data())
+    @example(q=Fraction(0), data=None)
+    @example(q=Fraction(-1, 2**60), data=None)
+    @example(q=Fraction(3, 2**7 * 5**60), data=None)
+    @example(q=Fraction(-7, 3 * 2**5), data=None)
+    def test_matches_the_reference(self, q, data):
+        text = oracles.reference_format_rational(q)
+        inputs = [q, f"{q.numerator}/{q.denominator}"]
+        if q.denominator == 1:
+            inputs.append(int(q))
+        if "/" not in text:
+            inputs += [text, Decimal(text)]
+        for value in inputs if data is None else [data.draw(st.sampled_from(inputs))]:
+            assert cc.format_rational(value) == oracles.reference_format_rational(value) == text
+        assert cc.as_fraction(text) == q

@@ -37,6 +37,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _printable_fraction(text: str) -> Fraction:
+    """``_fraction``, refused if the output could not print it (Python's int digit limit)."""
+    q = _fraction(text)
+    try:
+        str(q)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} has too many digits to print") from None
+    return q
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(tok) for tok in text.replace(",", " ").split())
@@ -97,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--input", required=True, help="space file (text or JSON object)")
-        p.add_argument("--r", type=_fraction, required=True, help="scale r (exact, e.g. 0.5 or 1/3)")
+        p.add_argument("--r", type=_printable_fraction, required=True, help="scale r (exact, e.g. 0.5 or 1/3)")
         p.add_argument("--k", type=int, required=True, help="structure order k")
         p.add_argument("--output", help="write result here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default="json")

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import stats
-from .space import FiniteSemimetricSpace, Record, ScaleParams, _bits, _mask, _positive_order
+from .space import FiniteSemimetricSpace, Record, ScaleParams, _bits, _mask, _positive_order, as_fraction
 
 __all__ = [
     "SearchLimitError",
@@ -128,8 +128,9 @@ def max_cluster(space: FiniteSemimetricSpace, points: Iterable[int], d) -> froze
     shows for its own points and the first pass's search decides for others.
     """
     full = _mask(points)
+    # The within(d) rows: the view at d/2, which every greedy step at scale d/2 reuses.
     # A vertex's own bit is never a candidate when its row is read.
-    adj = space.within(d)
+    adj = space._scale(as_fraction(d) / 2).share
     omega, witness = _clique(full, adj, 0, full.bit_count())
     clique, cand = [], full
     while len(clique) < omega:

@@ -14,9 +14,7 @@ Generated tables skip parsing: ``_grid_space`` ranks a symmetric int grid
 through its sorted distinct ints and maps only those to Fractions.
 
 A space carries the uniform counting measure: the measure of a point subset
-is its cardinality. The triangle inequality is *not* required ("semimetric");
-pass ``require_metric=True`` to :func:`build_space` to enforce it for inputs
-that are supposed to be genuine metrics.
+is its cardinality. The triangle inequality is *not* required ("semimetric").
 """
 from __future__ import annotations
 
@@ -276,29 +274,18 @@ class FiniteSemimetricSpace(Record):
         (anticlique) pairs ``~within(r)``, cluster mates ``within(2r)`` and
         separated pairs ``~within(r, strict=True)``.
 
-        Memoized on the instance per (numerator, denominator, strict) of d:
-        each threshold costs one bisection and one pass over the ranks once.
+        Built on each call; the rows at r, 2r and 3r are memoized in :meth:`_scale`.
         """
-        d = as_fraction(d)
-        key = (d.numerator, d.denominator, strict)
-        rows = self._within_memo.get(key)
-        if rows is None:
-            rows = self._within_memo[key] = self._threshold_rows([(d, strict)])[0]
-        return rows
+        return self._threshold_rows([(as_fraction(d), strict)])[0]
 
     def _scale(self, r) -> _Scale:
-        """The ``within`` rows at r (strict and closed), 2r and 3r, memoized in the ``within`` memo
-        per (numerator, denominator) of r; a row memoized before stays the one ``within`` returns."""
-        r, memo = as_fraction(r), self._within_memo
-        view = memo.get((r.numerator, r.denominator))
-        if view is None:
-            thresholds = ((r, True), (r, False), (2 * r, False), (3 * r, False))
-            keys = [(d.numerator, d.denominator, strict) for d, strict in thresholds]
-            # Distances are non-negative, so the cuts ascend even for r < 0; a dict drops repeats (r = 0).
-            todo = {key: threshold for key, threshold in zip(keys, thresholds) if key not in memo}
-            memo.update(zip(todo, self._threshold_rows(list(todo.values()))))
-            view = memo[r.numerator, r.denominator] = _Scale(*map(memo.__getitem__, keys))
-        return view
+        """The ``within`` rows at r (strict and closed), 2r and 3r, memoized on the
+        instance per (numerator, denominator) of r."""
+        r, views = as_fraction(r), self._views
+        key = r.numerator, r.denominator
+        if key not in views:  # distances are non-negative, so the cuts ascend even for r <= 0
+            views[key] = _Scale(*self._threshold_rows([(r, True), (r, False), (2 * r, False), (3 * r, False)]))
+        return views[key]
 
     def _threshold_rows(self, thresholds) -> list[tuple[int, ...]]:
         """The ``within`` rows of each (d, strict) in ``thresholds``, whose cuts into
@@ -315,7 +302,7 @@ class FiniteSemimetricSpace(Record):
         return list(zip(*[done[id(row)] for row in self.ranks])) or [()] * len(cuts)
 
     @cached_property
-    def _within_memo(self) -> dict:
+    def _views(self) -> dict:
         return {}
 
     def __hash__(self) -> int:
@@ -344,18 +331,12 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def build_space(
-    labels: Sequence[str],
-    matrix: Sequence[Sequence],
-    *,
-    require_metric: bool = False,
-) -> FiniteSemimetricSpace:
+def build_space(labels: Sequence[str], matrix: Sequence[Sequence]) -> FiniteSemimetricSpace:
     """Validate a label list and distance table into a space.
 
     Rejections name the offending cell: asymmetry, negative entries, nonzero
-    diagonal, and ragged rows are all errors. ``require_metric`` additionally
-    checks the triangle inequality (off by default: semimetric inputs are
-    legal and some natural instances are not metrics).
+    diagonal, and ragged rows are all errors. The triangle inequality is not
+    checked: semimetric inputs are legal.
     """
     labels = _checked_labels(labels)
     n = len(labels)
@@ -371,7 +352,7 @@ def build_space(
         keys = [v if v.__class__ is str else id(v) for v in entries]
         rows.append(list(map(ids.setdefault, keys, range(i * n, i * n + n))))
         firsts.update(zip(rows[-1], entries))
-    return _ranked_space(labels, firsts, rows, require_metric)
+    return _ranked_space(labels, firsts, rows)
 
 
 def _checked_labels(labels: Sequence) -> tuple[str, ...]:
@@ -408,7 +389,7 @@ def _reject_cells(firsts: dict, n: int) -> None:
             raise SpaceFormatError(f"negative entry at ({i},{j}): {format_rational(q)}")
 
 
-def _ranked_space(labels, firsts: dict, rows: list, require_metric: bool = False) -> FiniteSemimetricSpace:
+def _ranked_space(labels, firsts: dict, rows: list) -> FiniteSemimetricSpace:
     """The space whose cell (i, j) is ``firsts[rows[i][j]]``; ``firsts`` maps the
     flat index i*n + j of each distinct cell's first occurrence to that cell."""
     n = len(labels)
@@ -426,19 +407,7 @@ def _ranked_space(labels, firsts: dict, rows: list, require_metric: bool = False
         rows[i] = tuple(map(perm.__getitem__, row))
     if values and not values[0] and sum(row.count(0) for row in rows) > n:
         rows = list(map({}.setdefault, rows, rows))  # rows i and j can be equal only if rho(i, j) = 0
-    space = _checked_space(labels, values, tuple(rows))
-    if require_metric:
-        rho = [list(map(values.__getitem__, row)) for row in space.ranks]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for via in range(n):
-                    if rho[i][j] > rho[i][via] + rho[via][j]:
-                        raise SpaceFormatError(
-                            f"triangle violation at ({i},{j}) via {via}: "
-                            f"{format_rational(rho[i][j])} > "
-                            f"{format_rational(rho[i][via] + rho[via][j])}"
-                        )
-    return space
+    return _checked_space(labels, values, tuple(rows))
 
 
 def _grid_space(labels, grid, value) -> FiniteSemimetricSpace:

@@ -27,6 +27,7 @@ from clustercert.space import (
     FiniteSemimetricSpace,
     ScaleParams,
     SpaceFormatError,
+    _grid_space,
     _is_int,
     _mask,
     _positive_order,
@@ -293,6 +294,46 @@ def line_space(positions) -> FiniteSemimetricSpace:
     return build_space([f"p{i}" for i in range(len(xs))], [[abs(a - b) for b in xs] for a in xs])
 
 
+def grid_line_space(positions) -> FiniteSemimetricSpace:
+    """``line_space`` of integer positions, ranked through ``_grid_space`` from the
+    int gaps: no cell is parsed, so n in the hundreds builds in milliseconds."""
+    grid = [[abs(a - b) for b in positions] for a in positions]
+    return _grid_space([f"p{i}" for i in range(len(positions))], grid, Fraction)
+
+
+def line_anticliques(positions, r, s: int) -> int:
+    """T_s of points on a line: the s-subsets whose consecutive gaps, in sorted
+    order, all exceed r. A DP over the sorted points, O(n*s): ``ends[i]`` counts
+    the subsets of the current order whose largest point is the i-th."""
+    if s == 0:
+        return 1
+    xs = sorted(positions)
+    ends = [1] * len(xs)
+    for _ in range(s - 1):
+        grown, total, lo = [], 0, 0
+        for x in xs:
+            while xs[lo] < x - r:  # every point below x - r may precede x
+                total += ends[lo]
+                lo += 1
+            grown.append(total)
+        ends = grown
+    return sum(ends)
+
+
+def line_medium_pairs(positions, r) -> int:
+    """M of points on a line: the pairs at distance in (r, 3r], by two pointers
+    over the sorted points. A point x pairs with the points in [x - 3r, x - r)."""
+    xs = sorted(positions)
+    count = lo = hi = 0
+    for x in xs:
+        while xs[lo] < x - 3 * r:
+            lo += 1
+        while xs[hi] < x - r:
+            hi += 1
+        count += hi - lo
+    return count
+
+
 @st.composite
 def semimetric_spaces(draw, min_n: int = 0, max_n: int = 7):
     n = draw(st.integers(min_n, max_n))
@@ -326,6 +367,18 @@ def block_spaces(draw):
     sizes = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
     noise = Fraction(draw(st.integers(0, 9)), 10)
     return planted_instance(k, sizes, noise, 1, draw(st.integers(0, 2**31)))
+
+
+@st.composite
+def multiplicity_spaces(draw, max_n: int = 7, max_copies: int = 3):
+    """A semimetric space whose points come in 1 to ``max_copies`` copies at
+    distance 0, as ``uniformize`` makes them: the copies of a point share one
+    rank row, so equal degrees tie and the threshold rows take the shared-row path."""
+    space = draw(semimetric_spaces(min_n=1, max_n=max_n))
+    copies = draw(st.lists(st.integers(1, max_copies), min_size=space.n, max_size=space.n))
+    of = [p for p, c in enumerate(copies) for _ in range(c)]
+    rows = [[space.ranks[p][q] for q in of] for p in range(space.n)]
+    return _grid_space([f"p{i}" for i in range(len(of))], [rows[p] for p in of], space.values.__getitem__)
 
 
 # ---------------------------------------------------------------------------

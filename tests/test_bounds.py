@@ -292,6 +292,40 @@ class TestSingleEvaluation:
             assert len(calls) == expected, prop_id
 
 
+class TestOneViewPerScale:
+    """The threshold rows of a scale are built once, for its view ``space._scale(r)``,
+    and every reader of that scale, ``max_cluster`` at each greedy step included, reuses them."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        rows = cc.FiniteSemimetricSpace._threshold_rows
+
+        def counted(space, thresholds):
+            calls.append([d for d, _ in thresholds])
+            return rows(space, thresholds)
+
+        monkeypatch.setattr(cc.FiniteSemimetricSpace, "_threshold_rows", counted)
+        return calls
+
+    def test_one_build_per_scale_for_a_whole_certificate(self, builds):
+        space = cc.planted_instance(2, [6, 6], Fraction(1, 10), 1, seed=3)
+        for r in (1, "1/2", Fraction(1, 2), "1.0"):
+            cert = cc.build_certificate(space, cc.ScaleParams(r=r, k=2))
+            assert len(cert.decomposition.parts) > 1 and cert.exact is not None
+            cert.to_obj()
+            for pid in cc.verify.PROP_IDS:
+                cc.check_proposition(space, cert.params, pid)
+        half = Fraction(1, 2)
+        assert builds == [[1, 1, 2, 3], [half, half, 1, 3 * half]]
+
+    def test_one_build_for_a_greedy_decomposition(self, builds):
+        space = cc.planted_instance(3, [20, 20, 20], Fraction(1, 10), 1, seed=0)
+        decomp = cc.greedy_decomposition(space, cc.ScaleParams(r=1, k=3))
+        assert len(decomp.parts) == 3  # three greedy steps, each a max_cluster call
+        assert builds == [[1, 1, 2, 3]]
+
+
 class TestBuildCertificate:
     def test_shared_record_reads_alike_across_threads(self, clear_memos):
         # Threads that read one memoized record at once may compute a part

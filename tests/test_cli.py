@@ -476,6 +476,17 @@ class TestMalformedInput:
         errors = [line for line in run.stderr.splitlines() if "error: " in line]
         assert len(errors) == 1 and errors[0].endswith(f"error: {message.format(path)}")
 
+    @pytest.mark.parametrize("command", ["analyze", "greedy", "exact"])
+    def test_scale_too_long_to_print_is_refused_before_reading(self, capsys, tmp_path, s3_file, command):
+        # The output prints r. 10^4300 has 4301 digits, one more than Python
+        # converts an int to text by default; 10^4299 still prints.
+        code, out, _ = _run(capsys, command, "--input", str(s3_file), "--r", "1e-4299", "--k", "1")
+        assert code == 0 and out
+        for r in ("1e-4300", "1e4300"):
+            code, out, err = _run(capsys, command, "--input", str(tmp_path / "unread"), "--r", r, "--k", "1")
+            assert code == 1 and not out
+            assert f"argument --r: '{r}' has too many digits to print" in err and "unread" not in err
+
     @pytest.mark.parametrize("command", ["analyze", "exact", "verify"])
     def test_negative_exact_limit_is_an_input_error(self, capsys, s3_file, command):
         argv = ["--r", "1", "--k", "1", "--input", str(s3_file)] if command != "verify" else []

@@ -74,6 +74,7 @@ class TestMaxClusterEquivalence:
             oracles.semimetric_spaces(min_n=1, max_n=12),
             oracles.line_metric_spaces(min_n=1, max_n=16, span=12),
             oracles.block_spaces(),
+            oracles.multiplicity_spaces(),
         ),
         data=st.data(),
     )

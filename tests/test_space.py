@@ -70,24 +70,6 @@ class TestBuildSpace:
         space = cc.build_space(["a", "b"], [[0, 0.5], [0.5, 0]])
         assert space.rho(0, 1) == Fraction(1, 2)
 
-    def test_metric_flag_rejects_triangle_violation(self):
-        with pytest.raises(SpaceFormatError, match="triangle violation"):
-            cc.build_space(
-                ["a", "b", "c"],
-                [["0", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]],
-                require_metric=True,
-            )
-
-    def test_metric_flag_accepts_metric(self, s3):
-        # s3 itself is not a metric: 4 > 0.5 + 2.
-        with pytest.raises(SpaceFormatError):
-            cc.build_space(list(s3.labels), [list(row) for row in s3.dist], require_metric=True)
-        cc.build_space(
-            ["a", "b", "c"],
-            [["0", "1", "2"], ["1", "0", "1.5"], ["2", "1.5", "0"]],
-            require_metric=True,
-        )
-
 
 class TestScaleParams:
     def test_exact_rational_scale(self):
@@ -117,13 +99,13 @@ class TestWithin:
             assert rows[p] >> space.n == 0
 
     def test_memoized_per_threshold(self, s3):
-        assert s3.within("1/2") is s3.within(Fraction(1, 2))
+        assert s3.within("1/2") == s3.within(Fraction(1, 2))
         assert s3.within(Fraction(1, 2), strict=True) == (0b001, 0b010, 0b100)
         assert s3.within(Fraction(1, 2)) == (0b011, 0b011, 0b100)
 
     def test_memo_does_not_keep_the_space_alive(self):
         space = cc.build_space(["a", "b"], [["0", "1"], ["1", "0"]])
-        space.within(1)
+        space._scale(1)
         hash(space)
         ref = weakref.ref(space)
         del space
@@ -166,18 +148,13 @@ class TestRankLayer:
             for strict in (False, True):
                 assert doubled.within(d, strict=strict) == oracles.within(doubled, d, strict)
 
-    @given(space=oracles.semimetric_spaces(), r=st.sampled_from([Fraction(-1, 2), Fraction(1, 3), *oracles.PALETTE]),
-           shared_first=st.booleans())
-    def test_scale_view_matches_the_fraction_reference(self, space, r, shared_first):
-        if shared_first:  # a row memoized before the view is the one the view holds
-            space.within(2 * r)
+    @given(space=oracles.semimetric_spaces(), r=st.sampled_from([Fraction(-1, 2), Fraction(1, 3), *oracles.PALETTE]))
+    def test_scale_view_matches_the_fraction_reference(self, space, r):
         view = space._scale(r)
         assert view.close == oracles.within(space, r, strict=True)
         assert view.near == oracles.within(space, r)
         assert view.share == oracles.within(space, 2 * r)
         assert view.reach == oracles.within(space, 3 * r)
-        assert view.close is space.within(r, strict=True) and view.near is space.within(r)
-        assert view.share is space.within(2 * r) and view.reach is space.within(3 * r)
         assert space._scale(str(r)) is view
         # The near components partition the points; each is closed under near and connected.
         parts = [[p for p in range(space.n) if comp >> p & 1] for comp in view.components]
@@ -287,13 +264,13 @@ class TestHash:
 
     def test_pickle_carries_no_stale_hash(self):
         # Label hashes differ between processes. Pickle under one hash seed,
-        # with the hash taken and within rows memoized; load under another
+        # with the hash taken and a scale view memoized; load under another
         # and compare with a fresh build there.
         build = f"cc.build_space({S3_LABELS!r}, {S3_MATRIX!r})"
         dump = (
             "import pickle, sys, clustercert as cc\n"
             f"s = {build}\n"
-            "s.within(1), s.within(2, strict=True), s.dist\n"
+            "s._scale(1), s.dist\n"
             "print(hash(s), file=sys.stderr)\n"
             "sys.stdout.buffer.write(pickle.dumps(s))\n"
         )
@@ -301,7 +278,7 @@ class TestHash:
             "import json, pickle, sys, clustercert as cc\n"
             "s = pickle.loads(sys.stdin.buffer.read())\n"
             f"fresh = {build}\n"
-            "rows = [(t.within(1), t.within(2, strict=True)) for t in (s, fresh)]\n"
+            "rows = [(t._scale(1).near, t._scale(1).close, t.within(2, strict=True)) for t in (s, fresh)]\n"
             "print(json.dumps([s == fresh, hash(s), hash(fresh), rows]))\n"
         )
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb, factorial
 
@@ -128,6 +129,40 @@ class TestAnticliqueCount:
             if previous_density is not None:
                 assert density <= previous_density
             previous_density = density
+
+
+class TestLineCounts:
+    """T_s and M of integer points on a line, far above the sizes enumeration
+    reaches, against the oracles over sorted coordinates."""
+
+    @given(
+        n=st.integers(0, 400),
+        span=st.integers(0, 1200),
+        seed=st.integers(0, 2**31),
+        r=st.builds(Fraction, st.integers(1, 24), st.sampled_from([1, 2, 3])),
+    )
+    @example(n=400, span=1200, seed=0, r=Fraction(24))
+    def test_matches_the_sorted_oracles(self, n, span, seed, r):
+        rng = random.Random(seed)
+        positions = [rng.randint(0, span) for _ in range(n)]
+        space = oracles.grid_line_space(positions)
+        assert cc.medium_edge_count(space, r) == oracles.line_medium_pairs(positions, r)
+        for s in range(4):
+            assert cc.anticlique_count(space, r, s) == oracles.line_anticliques(positions, r, s)
+
+    @pytest.mark.parametrize("N, R", [(0, 1), (5, 2), (12, 1), (30, 4), (100, 3), (400, 20)])
+    def test_grid_closed_forms(self, N, R):
+        # On {0..N} at r = R: C(N - (s-1)R + 1, s) s-subsets with every gap above R,
+        # and N + 1 - d pairs at each distance d in (R, 3R].
+        positions = list(range(N + 1))
+        space = oracles.grid_line_space(positions)
+        for s in range(1, 6):
+            expected = comb(max(N - (s - 1) * R + 1, 0), s)
+            assert oracles.line_anticliques(positions, R, s) == expected
+            if s <= 3:
+                assert cc.anticlique_count(space, R, s) == expected
+        expected = sum(N + 1 - d for d in range(R + 1, min(3 * R, N) + 1))
+        assert cc.medium_edge_count(space, R) == oracles.line_medium_pairs(positions, R) == expected
 
 
 class TestElementarySymmetric:

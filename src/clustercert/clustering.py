@@ -319,21 +319,17 @@ def exact_structure(
     view = space._scale(r)
     share, close = view.share, view.close
 
-    cluster_masks = [0] * k
-    best_measure = -1
-    best_snapshot: tuple[int, ...] = tuple(cluster_masks)
-    nodes = 0
+    best_measure, best_masks, nodes = -1, (0,) * k, 0
 
-    def rec(p: int, opened: int, measure: int, room: tuple[int, ...]) -> None:
-        # room[c]: the points >= p that cluster c can still take.
-        nonlocal best_measure, best_snapshot, nodes
+    def rec(p: int, opened: int, measure: int, room: tuple[int, ...], masks: tuple[int, ...]) -> None:
+        # room[c]: the points >= p that cluster c can still take; masks[c]: its members.
+        nonlocal best_measure, best_masks, nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise _NodeBudget
         if p == n:
             if measure > best_measure:
-                best_measure = measure
-                best_snapshot = tuple(cluster_masks)
+                best_measure, best_masks = measure, masks
             return
         slack = best_measure - measure
         if n - p <= slack:
@@ -346,21 +342,19 @@ def exact_structure(
         bit = 1 << p
         for c in range(min(opened + 1, k)):
             if room[c] & bit:
-                cluster_masks[c] ^= bit
                 rec(p + 1, max(opened, c + 1), measure + 1, tuple(
                     free & (share[p] if d == c else ~close[p]) & ~bit for d, free in enumerate(room)
-                ))
-                cluster_masks[c] ^= bit
-        rec(p + 1, opened, measure, tuple(free & ~bit for free in room))
+                ), masks[:c] + (masks[c] | bit,) + masks[c + 1:])
+        rec(p + 1, opened, measure, tuple(free & ~bit for free in room), masks)
 
     optimal = True
     try:
-        rec(0, 0, 0, ((1 << n) - 1,) * k)
+        rec(0, 0, 0, ((1 << n) - 1,) * k, (0,) * k)
     except _NodeBudget:
         optimal = False
 
     return ExactSearchResult(
-        structure=ClusterStructure(clusters=tuple(frozenset(_bits(m)) for m in best_snapshot)),
+        structure=ClusterStructure(clusters=tuple(frozenset(_bits(m)) for m in best_masks)),
         optimal=optimal,
         nodes_explored=nodes,
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -332,6 +333,47 @@ def line_medium_pairs(positions, r) -> int:
             hi += 1
         count += hi - lo
     return count
+
+
+def line_positions(space: FiniteSemimetricSpace) -> list[Fraction]:
+    """The coordinates of a ``line_space`` up to a reflection, which keeps every
+    distance: the distances from an end, that is from the point farthest from
+    point 0."""
+    if not space.n:
+        return []
+    end = max(space.points(), key=space.dist[0].__getitem__)
+    return list(space.dist[end])
+
+
+def line_opt(positions, r, k: int) -> int:
+    """OPT of points on a line: the largest measure of an order-k structure at
+    scale r, when no pair is at distance exactly r (else ValueError).
+
+    A point inside the hull of a 2r-cluster is within r of one of the
+    cluster's ends, strictly so without pairs at exactly r, so no other
+    cluster reaches inside that hull; and every point inside it can join the
+    cluster. So an optimal structure's clusters are runs of consecutive sorted
+    points. ``best[c][t]`` is the most points in at most c clusters among the
+    t lowest points: the last cluster is a run xs[i..t-1] of diameter <= 2r,
+    and the clusters before it lie among the points more than r below xs[i],
+    a prefix of the sorted order. O(n^2 k)."""
+    r = Fraction(r)
+    xs = sorted(Fraction(x) for x in positions)
+    seen = set(xs)
+    if any(x + r in seen for x in xs):
+        raise ValueError(f"a pair is at distance exactly r = {r}: runs need not be optimal")
+    below = [bisect_left(xs, x - r) for x in xs]  # the points more than r below x
+    best = [[0] * (len(xs) + 1)]
+    for _ in range(k):
+        prev, row = best[-1], [0]
+        for t in range(1, len(xs) + 1):
+            top, i, most = xs[t - 1], t - 1, row[-1]
+            while i >= 0 and top - xs[i] <= 2 * r:
+                most = max(most, t - i + prev[below[i]])
+                i -= 1
+            row.append(most)
+        best.append(row)
+    return best[k][len(xs)]
 
 
 @st.composite

@@ -421,3 +421,25 @@ class TestBuildCertificate:
     def test_verdicts_hold_on_metric_instances(self, space, k):
         cert = cc.build_certificate(space, cc.ScaleParams(r=Fraction(1), k=k))
         assert all(v.holds for v in cert.verdicts)
+
+
+class TestT1AboveTheExactLimit:
+    @pytest.mark.parametrize("k, m", [(1, 59), (2, 40), (3, 120)])
+    def test_psi_binds_on_line_blocks(self, k, m):
+        # k blocks of m integer points spread over r/2 = m - 1 and started 10r
+        # apart, then two outliers, the first 4r beyond the last block and the
+        # second 3r/2 beyond it: they give T_{k+1} > 0 and M = 1, so beta > 0
+        # and delta > 0. No pair is at exactly r, so the line DP gives OPT at
+        # n = 61, 82 and 362, where the exact search is refused.
+        r = 2 * (m - 1)
+        positions = [10 * r * b + i for b in range(k) for i in range(m)]
+        positions += [positions[-1] + 4 * r, positions[-1] + 4 * r + 3 * r // 2]
+        n = len(positions)
+        cert = cc.build_certificate(oracles.grid_line_space(positions), cc.ScaleParams(r=Fraction(r), k=k))
+        ev = cert.bounds
+        opt = oracles.line_opt(positions, r, k)
+        assert "exact-search limit" in cert.exact_note
+        assert ev.applicable
+        assert ev.inputs.beta > 0 and ev.inputs.delta > 0 and ev.value > 0
+        assert ev.meets(opt, n) and ev.meets(cert.greedy.measure, n)
+        assert cert.greedy.measure <= opt

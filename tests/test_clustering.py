@@ -334,6 +334,19 @@ class TestExactStructure:
         assert result.measure == oracles.structure_measure(space, k, params.r)
         assert cc.validate_structure(space, result.structure, params).ok
 
+    @given(
+        space=oracles.line_metric_spaces(max_n=12),
+        r=st.sampled_from([Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)]),
+        k=st.integers(1, 3),
+    )
+    def test_matches_the_line_oracle(self, space, r, k):
+        # Integer points and a half-integer r: no pair is at exactly r.
+        positions = oracles.line_positions(space)
+        result = cc.exact_structure(space, cc.ScaleParams(r=r, k=k))
+        assert result.measure == oracles.line_opt(positions, r, k)
+        with pytest.raises(ValueError, match="exactly r"):
+            oracles.line_opt([*positions, 0, r], r, k)
+
     @given(space=oracles.metric_spaces(min_n=1, max_n=8), k=st.integers(1, 3))
     def test_dominates_greedy(self, space, k):
         params = cc.ScaleParams(r=Fraction(1), k=k)

@@ -110,6 +110,21 @@ class TestCheckProposition:
         assert [sorted(p.z) for p in cc.greedy_decomposition(space, params).parts] == [[0, 1, 2, 3]]
         assert verify.check_proposition(space, params, "P4").passed
 
+    def test_p5_needs_its_slack_at_k2(self):
+        # Two blocks on a line at r = 1. The greedy parts have sizes W = (4, 3),
+        # and inside the part of size 4 the pair 19/4, 6 is farther than r. So
+        # T_2 = 12 + 1 exceeds e_2(W) = 12, and P5 holds only through its slack
+        # (k/2) lambda n^k / (k-2)! = lambda n^2.
+        space = oracles.line_space(["1/4", "3/4", 1, "19/4", "21/4", "23/4", 6])
+        params = cc.ScaleParams(r=Fraction(1), k=2)
+        cert = cc.build_certificate(space, params)
+        assert cert.bounds.precondition_ok
+        assert cert.decomposition.w == (4, 3)
+        result = verify.check_proposition(space, params, "P5")
+        assert result.applicable and result.passed
+        assert result.lhs > cc.elementary_symmetric(cert.decomposition.w, 2) == 12
+        assert (result.lhs, result.rhs) == (13, 12 + cert.bounds.lam * 7**2) == (13, Fraction(5799, 338))
+
     @settings(max_examples=2000)
     @given(
         space=st.one_of(oracles.line_metric_spaces(max_n=9), oracles.metric_spaces(max_n=9)),

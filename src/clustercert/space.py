@@ -215,24 +215,6 @@ class _Scale(Record):
     share: tuple[int, ...]
     reach: tuple[int, ...]
 
-    @cached_property
-    def components(self) -> tuple[int, ...]:
-        """The connected components of the near graph as masks, by lowest point."""
-        near, components = self.near, []
-        left = (1 << len(near)) - 1
-        while left:
-            # Grow the component of the lowest unvisited point, one layer a pass.
-            comp = frontier = left & -left
-            while frontier:
-                reach = 0
-                for p in _bits(frontier):
-                    reach |= near[p]
-                frontier = reach & ~comp
-                comp |= frontier
-            left &= ~comp
-            components.append(comp)
-        return tuple(components)
-
 
 class FiniteSemimetricSpace(Record):
     """Immutable point set with an exact symmetric distance table.

@@ -10,7 +10,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import factorial
 
-from .space import FiniteSemimetricSpace, Record, ScaleParams, _is_int, _mask
+from .space import FiniteSemimetricSpace, Record, ScaleParams, _bits, _is_int, _mask
 
 __all__ = [
     "ObservedParams",
@@ -71,9 +71,8 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
     sets of the near graph. Such a set is one (maybe empty) set per near
     component, so T_s = [x^s] of the product of the components' independence
     polynomials; a near-clique of m points gives the factor 1 + m*x.
-    The components come from the space's view at scale r, found once per r;
-    one walk per component, in ascending index order, tallies its sets of
-    every order up to s.
+    The components are found on each call; one walk per component, in
+    ascending index order, tallies its sets of every order up to s.
     """
     if not _is_int(s) or s < 0:
         raise ValueError(f"anticlique order must be a non-negative integer, got {s!r}")
@@ -82,8 +81,7 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
     n = space.n
     if s > n:
         return 0
-    view = space._scale(r)
-    far = [~row for row in view.near]
+    near = space._scale(r).near
 
     def walk(cand: int, size: int, tally: list[int]) -> None:
         # Each point of cand extends the current size-point set by one.
@@ -93,16 +91,34 @@ def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:
                 low = cand & -cand
                 cand ^= low
                 # cand now holds only points above the one just chosen.
-                rest = cand & far[low.bit_length() - 1]
+                rest = cand & ~near[low.bit_length() - 1]
                 if rest:
                     walk(rest, size + 1, tally)
 
     factors = []
-    for comp in view.components:
+    for comp in _components(near):
         tally = [0] * s
         walk(comp, 0, tally)
         factors.append(tally)
     return _truncated_product(factors, s)
+
+
+def _components(near: Sequence[int]) -> list[int]:
+    """The connected components of the graph of symmetric rows ``near``, as masks by lowest point."""
+    components = []
+    left = (1 << len(near)) - 1
+    while left:
+        # Grow the component of the lowest unvisited point, one layer a pass.
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            for p in _bits(frontier):
+                reach |= near[p]
+            frontier = reach & ~comp
+            comp |= frontier
+        left &= ~comp
+        components.append(comp)
+    return components
 
 
 def _truncated_product(factors: Iterable[Sequence[int]], s: int) -> int:
@@ -126,24 +142,23 @@ def elementary_symmetric(values: Sequence[int], s: int) -> int:
     for idx, v in enumerate(vals):
         if not _is_int(v) or v < 0:
             raise ValueError(f"value {idx} must be a non-negative integer, got {v!r}")
+    if s > len(vals):
+        return 0
     return _truncated_product([(v,) for v in vals], s)
 
 
 def observed_parameters(space: FiniteSemimetricSpace, params: ScaleParams) -> ObservedParams:
-    """Exact counts M, T_k, T_{k+1} and the densities that make the defining
-    inequalities tight. The empty space yields all-zero parameters."""
+    """Exact counts M, T_k, T_{k+1} and the densities that make the defining inequalities
+    tight. A zero count is a zero density: all densities at n = 0, any order above n."""
     n = space.n
     k = params.k
     m = medium_edge_count(space, params.r)
     t_k = anticlique_count(space, params.r, k)
     t_k1 = anticlique_count(space, params.r, k + 1)
-    if n == 0:
-        zero = Fraction(0)
-        return ObservedParams(zero, zero, zero, 0, 0, 0)
     return ObservedParams(
-        delta_hat=Fraction(2 * m, n * n),
-        beta_hat=Fraction(factorial(k + 1) * t_k1, n ** (k + 1)),
-        alpha_hat=Fraction(factorial(k) * t_k, n**k),
+        delta_hat=Fraction(2 * m, n * n) if m else Fraction(0),
+        beta_hat=Fraction(factorial(k + 1) * t_k1, n ** (k + 1)) if t_k1 else Fraction(0),
+        alpha_hat=Fraction(factorial(k) * t_k, n**k) if t_k else Fraction(0),
         medium_edges=m,
         anticliques_k=t_k,
         anticliques_k_plus_1=t_k1,

@@ -74,11 +74,10 @@ def _check_p1(cert, tight):
         return _not_applicable("P1", "space size does not match the construction")
     if cert.exact_note is not None:
         return _not_applicable("P1", cert.exact_note)
-    exact = cert.exact
     obs = cert.observed
     m_count, t_top = obs.medium_edges, obs.anticliques_k_plus_1
     t_expected = tight.m0 * tight.m**params.k
-    gap = n - exact.measure
+    gap = n - cert.exact.measure
     passed = m_count == 0 and t_top == t_expected and gap == tight.m
     witness = None
     if not passed:
@@ -96,8 +95,7 @@ def _check_p2(cert, tight):
     # With diameter at most 3r, the medium-edge count is at least
     # max(n, 2|B|) * |A \ B| / 2 for B a maximum 2r-cluster.
     n = cert.space.n
-    everyone = (1 << n) - 1
-    if any(row != everyone for row in cert.space._scale(cert.params.r).reach):
+    if stats.long_edge_count(cert.space, cert.params.r):
         return _not_applicable("P2", "space diameter exceeds 3r")
     # Greedy step 0 is a maximum 2r-cluster of the whole space.
     parts = cert.decomposition.parts
@@ -124,7 +122,8 @@ def _check_p4(cert, tight):
     # polynomial of the sorted part sizes, scaled by 1/(k+1)!.
     k = cert.params.k
     lhs = cert.observed.anticliques_k_plus_1
-    rhs = Fraction(stats.elementary_symmetric(cert.decomposition.w, k + 1), factorial(k + 1))
+    e_top = stats.elementary_symmetric(cert.decomposition.w, k + 1)
+    rhs = Fraction(e_top, factorial(k + 1)) if e_top else Fraction(0)
     return CheckResult("P4", True, lhs >= rhs, lhs, rhs)
 
 
@@ -268,6 +267,7 @@ class FailureRecord(Record):
     space_text: str
     note: str = ""
     tight: TightInstanceSpec | None = None
+    witness: dict | None = None
 
     def to_obj(self) -> dict:
         obj = {
@@ -283,6 +283,8 @@ class FailureRecord(Record):
         if self.tight is not None:
             t = self.tight
             obj["tight"] = {"k": t.k, "m": t.m, "m0": t.m0, "r": str(t.r)}
+        if self.witness is not None:
+            obj["witness"] = self.witness
         return obj
 
 
@@ -392,6 +394,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                         space_text=dump_space(space),
                         note=result.note,
                         tight=tight_spec if prop_id == "P1" else None,
+                        witness=result.witness,
                     )
                 )
     tallies = tuple(PropTally(pid, *counts[pid]) for pid in PROP_IDS)

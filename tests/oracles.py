@@ -85,7 +85,7 @@ def anticlique_backtrack(space: FiniteSemimetricSpace, r, s: int) -> int:
     n = space.n
     if s > n:
         return 0
-    far = [~row for row in space.within(r)]
+    far = [~row for row in within(space, r)]
 
     def count(cand: int, need: int) -> int:
         if need == 1:
@@ -766,7 +766,7 @@ def reference_max_cluster(space: FiniteSemimetricSpace, points, d) -> frozenset[
     if not full:
         return frozenset()
     # A vertex's own bit is never a candidate when its row is read.
-    adj = space.within(d)
+    adj = within(space, d)
     best: list[int] = []
 
     def expand(current: list[int], cand: int) -> None:

@@ -423,17 +423,23 @@ class TestBuildCertificate:
         assert all(v.holds for v in cert.verdicts)
 
 
+def _line_blocks(k: int, m: int) -> tuple[list[int], int]:
+    """Claim B's spaces on a line, as integer positions and the scale r: k blocks
+    of m points spread over r/2 = m - 1 and started 10r apart, then two outliers,
+    the first 4r beyond the last block and the second 3r/2 beyond it. They give
+    T_{k+1} > 0 and M = 1, so beta > 0 and delta > 0, and no pair is at exactly r,
+    so ``oracles.line_opt`` gives OPT."""
+    r = 2 * (m - 1)
+    positions = [10 * r * b + i for b in range(k) for i in range(m)]
+    positions += [positions[-1] + 4 * r, positions[-1] + 4 * r + 3 * r // 2]
+    return positions, r
+
+
 class TestT1AboveTheExactLimit:
     @pytest.mark.parametrize("k, m", [(1, 59), (2, 40), (3, 120)])
     def test_psi_binds_on_line_blocks(self, k, m):
-        # k blocks of m integer points spread over r/2 = m - 1 and started 10r
-        # apart, then two outliers, the first 4r beyond the last block and the
-        # second 3r/2 beyond it: they give T_{k+1} > 0 and M = 1, so beta > 0
-        # and delta > 0. No pair is at exactly r, so the line DP gives OPT at
-        # n = 61, 82 and 362, where the exact search is refused.
-        r = 2 * (m - 1)
-        positions = [10 * r * b + i for b in range(k) for i in range(m)]
-        positions += [positions[-1] + 4 * r, positions[-1] + 4 * r + 3 * r // 2]
+        # At n = 61, 82 and 362 the exact search is refused; the line DP gives OPT.
+        positions, r = _line_blocks(k, m)
         n = len(positions)
         cert = cc.build_certificate(oracles.grid_line_space(positions), cc.ScaleParams(r=Fraction(r), k=k))
         ev = cert.bounds
@@ -443,3 +449,32 @@ class TestT1AboveTheExactLimit:
         assert ev.inputs.beta > 0 and ev.inputs.delta > 0 and ev.value > 0
         assert ev.meets(opt, n) and ev.meets(cert.greedy.measure, n)
         assert cert.greedy.measure <= opt
+
+    def test_p5_p6_and_t1_on_a_grid_of_line_blocks(self):
+        # k = 1..3 and m = 2..29: 84 spaces, n = 4..89. Each check holds wherever
+        # its gates let it apply, and each applies in at least 30 of them, T1
+        # with psi > 0 in at least 10. T1 is decided by the exact search up to
+        # its limit of 14 points, and above it by the line DP's OPT.
+        applied = {"P5": 0, "P6": 0, "T1": 0}
+        psi_positive = 0
+        for k in (1, 2, 3):
+            for m in range(2, 30):
+                positions, r = _line_blocks(k, m)
+                n = len(positions)
+                space = oracles.grid_line_space(positions)
+                params = cc.ScaleParams(r=Fraction(r), k=k)
+                cert = cc.build_certificate(space, params)
+                ev = cert.bounds
+                assert ev.inputs.beta > 0 and ev.inputs.delta > 0
+                searched = n <= cc.clustering.DEFAULT_EXACT_LIMIT
+                for prop in ("P5", "P6", "T1") if searched else ("P5", "P6"):
+                    result = cc.check_proposition(space, params, prop)
+                    assert result.passed is not False, (k, m, prop)
+                    applied[prop] += result.applicable
+                if not searched and ev.reason is None:
+                    opt = oracles.line_opt(positions, r, k)
+                    assert cert.greedy.measure <= opt
+                    assert ev.meets(opt, n) and ev.meets(cert.greedy.measure, n), (k, m)
+                    applied["T1"] += 1
+                psi_positive += ev.reason is None and ev.value > 0
+        assert min(applied.values()) >= 30 and psi_positive >= 10, (applied, psi_positive)

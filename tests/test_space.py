@@ -156,16 +156,6 @@ class TestRankLayer:
         assert view.share == oracles.within(space, 2 * r)
         assert view.reach == oracles.within(space, 3 * r)
         assert space._scale(str(r)) is view
-        # The near components partition the points; each is closed under near and connected.
-        parts = [[p for p in range(space.n) if comp >> p & 1] for comp in view.components]
-        assert sorted(p for members in parts for p in members) == list(range(space.n))
-        assert sum(view.components) == (1 << space.n) - 1  # no bit above the points
-        for comp, members in zip(view.components, parts):
-            assert all(view.near[p] & ~comp == 0 for p in members)
-            reached = {members[0]}
-            for _ in members:
-                reached |= {q for p in reached for q in members if space.rho(p, q) <= r}
-            assert reached == set(members)
 
     @given(space=oracles.semimetric_spaces(), d=st.sampled_from(oracles.PALETTE))
     def test_pickle_keeps_hash_and_within(self, space, d):

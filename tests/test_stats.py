@@ -111,6 +111,21 @@ class TestAnticliqueCount:
         for s in range(1, k + 2):
             assert cc.anticlique_count(space, 1, s) == cc.elementary_symmetric(sizes, s)
 
+    @given(space=oracles.semimetric_spaces(), r=st.sampled_from([Fraction(-1, 2), Fraction(1, 3), *oracles.PALETTE]))
+    def test_components_of_the_near_graph(self, space, r):
+        # The near components partition the points; each is closed under near and connected.
+        near = oracles.within(space, r)
+        components = cc.stats._components(near)
+        parts = [[p for p in range(space.n) if comp >> p & 1] for comp in components]
+        assert sorted(p for members in parts for p in members) == list(range(space.n))
+        assert sum(components) == (1 << space.n) - 1  # no bit above the points
+        for comp, members in zip(components, parts):
+            assert all(near[p] & ~comp == 0 for p in members)
+            reached = {members[0]}
+            for _ in members:
+                reached |= {q for p in reached for q in members if space.rho(p, q) <= r}
+            assert reached == set(members)
+
     @given(space=oracles.semimetric_spaces(min_n=1), s=st.integers(1, 4))
     def test_antitone_in_scale(self, space, s):
         counts = [cc.anticlique_count(space, r, s) for r in oracles.PALETTE[1:]]
@@ -183,6 +198,19 @@ class TestElementarySymmetric:
         with pytest.raises(ValueError):
             cc.elementary_symmetric((3, 2), -1)
 
+    def test_degree_above_the_values_is_zero_without_a_product(self, monkeypatch):
+        # The product would take O(s) steps per value; a degree above the
+        # value count is 0 at once, after the argument checks.
+        def product(factors, s):
+            raise AssertionError("the product was expanded")
+
+        monkeypatch.setattr(cc.stats, "_truncated_product", product)
+        assert cc.elementary_symmetric((3, 2, 1), 4) == 0
+        assert cc.elementary_symmetric((), 1) == 0
+        assert cc.elementary_symmetric((3, 2, 1), 10**18) == 0
+        with pytest.raises(ValueError):
+            cc.elementary_symmetric((3, -1), 5)
+
     @given(
         values=st.lists(st.integers(0, 9), max_size=12),
         s=st.integers(0, 6),
@@ -236,6 +264,20 @@ class TestObservedParameters:
             obs = cc.observed_parameters(space, cc.ScaleParams(r=Fraction(1), k=k))
             n = m0 + k * m
             assert obs.beta_hat == Fraction(m, n) ** (k + 1) * factorial(k + 1) * Fraction(m0, m)
+
+    def test_zero_counts_take_no_factorial(self, monkeypatch, s3):
+        # At k = 10**6 both anticlique orders pass n = 3, so T_k = T_{k+1} = 0,
+        # and so is e_{k+1}(W): no (k+1)! or n^(k+1) is built for them.
+        def factorial_refused(x):
+            raise AssertionError(f"factorial({x}) was computed")
+
+        monkeypatch.setattr(cc.stats, "factorial", factorial_refused)
+        monkeypatch.setattr(cc.verify, "factorial", factorial_refused)
+        params = cc.ScaleParams(r=1, k=10**6)
+        obs = cc.observed_parameters(s3, params)
+        assert obs == cc.ObservedParams(Fraction(2, 9), Fraction(0), Fraction(0), 1, 0, 0)
+        result = cc.verify.check_proposition(s3, params, "P4")
+        assert (result.applicable, result.passed, result.lhs, result.rhs) == (True, True, 0, 0)
 
     def test_empty_space_all_zero(self):
         obs = cc.observed_parameters(cc.build_space([], []), cc.ScaleParams(r=1, k=2))

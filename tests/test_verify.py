@@ -373,6 +373,28 @@ class TestFailureRoundTrip:
             assert replayed.passed is False
             assert (str(replayed.lhs), str(replayed.rhs)) == (entry["lhs"], entry["rhs"])
 
+    def test_suite_failure_keeps_its_witness(self, monkeypatch):
+        # What a failing check found reaches its failure record and the
+        # serialized report; a record without a witness writes no key.
+        check = verify._CHECKS["P4"]
+
+        def failing(cert, tight):
+            result = check(cert, tight)
+            witness = {"parts": list(cert.decomposition.w)}
+            return verify.CheckResult("P4", True, False, result.lhs, result.rhs, witness=witness)
+
+        monkeypatch.setitem(verify._CHECKS, "P4", failing)
+        report = verify.run_suite(verify.SuiteConfig(seed=3, trials=3, max_n=6))
+        obj = json.loads(cc.write_report(report))
+        assert len(report.failures) == len(obj["failures"]) == 3
+        for record, entry in zip(report.failures, obj["failures"]):
+            space = cc.load_space(record.space_text)
+            params = cc.ScaleParams(r=Fraction(record.r), k=record.k)
+            parts = list(cc.greedy_decomposition(space, params).w)
+            assert record.witness == entry["witness"] == {"parts": parts}
+        bare = verify.FailureRecord(0, "P4", 1, "1", "0", "0", report.failures[0].space_text)
+        assert "witness" not in bare.to_obj()
+
     def test_failure_above_the_default_limit_replays(self, monkeypatch):
         # With exact_limit 16 the inverted T1 fails on spaces the default
         # limit of 14 would refuse; without a limit the replay admits them,

@@ -6,12 +6,14 @@ The corpus covers block witnesses, noisy planted spaces, shortest-path random
 metrics, a 30-point space where the exact search is refused, and hand-made
 spaces with distances exactly r, 2r and 3r, where the strict and closed
 threshold conventions differ. One of them breaks the triangle inequality so
-that the greedy long-edge matching is not empty. The ``generate`` cases pin
-the block witness and the noisy planted generator. Four cases have the
-shapes the benchmark runs: analyze and greedy on a 100-point planted space
-(two blocks of 50, noise 1/100, four pairs at exactly r), ``verify`` with 60
-trials up to n = 14, and analyze of the 60-point discretized space, whose
-multiplicity blocks sit at mutual distance 0.
+that the greedy long-edge matching is not empty. Two ``exact`` cases run the
+search above k = 3 on the 10-point random metric at r = 1/2: at k = 4, and at
+k = 12, above n. The ``generate`` cases pin the block witness and the noisy
+planted generator. Four cases have the shapes the benchmark runs: analyze
+and greedy on a 100-point planted space (two blocks of 50, noise 1/100, four
+pairs at exactly r), ``verify`` with 60 trials up to n = 14, and analyze of
+the 60-point discretized space, whose multiplicity blocks sit at mutual
+distance 0.
 
 To re-record after an intended output change, run from the repository root:
 
@@ -63,6 +65,11 @@ def _cases() -> dict[str, list[str]]:
     cases["tight_k2.analyze_k12.json"] = [
         "analyze", "--input", str(INPUTS / "tight_k2.space"), "--r", "1", "--k", "12"
     ]
+    # The exact search above k = 3: four clusters, and twelve on ten points.
+    for k in (4, 12):
+        cases[f"metric_n10.exact_k{k}.json"] = [
+            "exact", "--input", str(INPUTS / "metric_n10.space"), "--r", "1/2", "--k", str(k)
+        ]
     cases["tight.generate.space"] = [
         "generate", "--kind", "tight", "--r", "1", "--k", "2", "--m", "3", "--m0", "4"
     ]

@@ -291,24 +291,23 @@ def exact_structure(
 ) -> ExactSearchResult:
     """Maximum-measure order-k structure by branch and bound.
 
-    Points are assigned in ascending index order to one of k clusters or
-    discarded. Each cluster c keeps its room: the unassigned points within 2r
-    of every member of c (diameter) and at least r from every member of the
-    other clusters (separation), so a point may join c exactly when it is in
-    c's room. Symmetry is broken by letting a point open cluster c only when
-    clusters below c are already non-empty, so cluster labels are ordered by
-    smallest member. What c gains from a node on is a clique of the 2r graph
-    inside its room, so at most the colours of a greedy colouring of it, and
-    all clusters together gain at most the union of their rooms. A node is
-    pruned when the measure plus the unassigned points, or plus the smaller
-    of those two gains, cannot beat the incumbent. Only strictly better
-    assignments replace it, so the witness is the first optimum in
+    Points are assigned in ascending index order to a cluster or discarded;
+    a point joins an open cluster or opens the next one, so clusters are
+    ordered by smallest member. An open cluster's room is the unassigned
+    points within 2r of its members and at least r from all other members,
+    the points that may join it; the unopened clusters share one room, the
+    points at least r from every member. What a cluster gains from a node on
+    is a clique of the 2r graph inside its room, so at most the colours of a
+    greedy colouring of it, the shared room's counted once per unopened
+    cluster, and all clusters together gain at most the union of the rooms.
+    A node is pruned when the measure plus the unassigned points, or plus
+    the smaller of those two gains, cannot beat the incumbent. Only strictly
+    better assignments replace it, so the witness is the first optimum in
     lexicographic assignment order whatever the bound. ``nodes_explored``
     counts the assignment prefixes visited, pruned ones included.
 
-    If ``node_budget`` is exhausted the best structure found so far is
-    returned flagged non-optimal. Instances larger than ``max_points`` are
-    rejected outright.
+    An exhausted ``node_budget`` returns the best structure found so far,
+    flagged non-optimal. Instances larger than ``max_points`` are refused.
     """
     n = space.n
     k = params.k
@@ -319,10 +318,11 @@ def exact_structure(
     view = space._scale(r)
     share, close = view.share, view.close
 
-    best_measure, best_masks, nodes = -1, (0,) * k, 0
+    best_measure, best_masks, nodes = -1, (), 0
 
-    def rec(p: int, opened: int, measure: int, room: tuple[int, ...], masks: tuple[int, ...]) -> None:
-        # room[c]: the points >= p that cluster c can still take; masks[c]: its members.
+    def rec(p: int, measure: int, room: tuple[int, ...], masks: tuple[int, ...], shared: int) -> None:
+        # room[c], masks[c]: the points >= p that open cluster c can still take, and its members;
+        # shared: the room of every unopened cluster, 0 once all k are open.
         nonlocal best_measure, best_masks, nodes
         nodes += 1
         if node_budget is not None and nodes > node_budget:
@@ -334,24 +334,31 @@ def exact_structure(
         slack = best_measure - measure
         if n - p <= slack:
             return
-        reach = 0
+        reach, unopened = shared, k - len(room)
         for free in room:
             reach |= free
-        if reach.bit_count() <= slack or sum(_color_count(free, share) for free in room) <= slack:
+        if reach.bit_count() <= slack or unopened * _color_count(shared, share) + sum(
+            _color_count(free, share) for free in room
+        ) <= slack:
             return
         bit = 1 << p
-        for c in range(min(opened + 1, k)):
+        apart = ~(close[p] | bit)  # what a member p leaves to the other clusters
+        for c in range(len(room)):
             if room[c] & bit:
-                rec(p + 1, max(opened, c + 1), measure + 1, tuple(
-                    free & (share[p] if d == c else ~close[p]) & ~bit for d, free in enumerate(room)
-                ), masks[:c] + (masks[c] | bit,) + masks[c + 1:])
-        rec(p + 1, opened, measure, tuple(free & ~bit for free in room), masks)
+                rec(p + 1, measure + 1, tuple(
+                    free & (share[p] & ~bit if d == c else apart) for d, free in enumerate(room)
+                ), masks[:c] + (masks[c] | bit,) + masks[c + 1:], shared & apart)
+        if shared & bit:  # p opens the next cluster
+            rec(p + 1, measure + 1, tuple(free & apart for free in room) + (shared & share[p] & ~bit,),
+                masks + (bit,), shared & apart if unopened > 1 else 0)
+        rec(p + 1, measure, tuple(free & ~bit for free in room), masks, shared & ~bit)
 
     optimal = True
     try:
-        rec(0, 0, 0, ((1 << n) - 1,) * k, (0,) * k)
+        rec(0, 0, (), (), (1 << n) - 1)
     except _NodeBudget:
         optimal = False
+    best_masks += (0,) * (k - len(best_masks))  # the clusters never opened, empty
 
     return ExactSearchResult(
         structure=ClusterStructure(clusters=tuple(frozenset(_bits(m)) for m in best_masks)),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clustercert as cc
+from clustercert import clustering
 from clustercert.clustering import SearchLimitError
 
 import oracles
@@ -304,6 +305,37 @@ class TestExactStructure:
         result = cc.exact_structure(space, params, max_points=space.n, node_budget=10_000)
         assert result.optimal
         assert space.n - result.measure == m
+
+    def test_colours_only_the_open_rooms_and_the_shared_one(self, monkeypatch):
+        # Each node colours the room of every open cluster and, while some
+        # cluster is unopened, the one room they all share: at most n + 1.
+        calls = 0
+        colour = clustering._color_count
+
+        def counted(cand, adj):
+            nonlocal calls
+            calls += 1
+            return colour(cand, adj)
+
+        monkeypatch.setattr(clustering, "_color_count", counted)
+        space = cc.load_space((GOLDEN_INPUTS / "metric_n10.space").read_text())
+        result = cc.exact_structure(space, cc.ScaleParams(r=Fraction(1, 2), k=50))
+        assert result.optimal and result.measure == 10
+        assert calls <= (space.n + 1) * result.nodes_explored
+
+    @given(
+        space=st.one_of(oracles.semimetric_spaces(min_n=1, max_n=8), oracles.metric_spaces(min_n=1, max_n=8)),
+        r=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2)]),
+        extra=st.integers(0, 40),
+    )
+    def test_orders_above_n_pad_the_optimum_at_n(self, space, r, extra):
+        # No structure has more than n non-empty clusters, so above k = n the
+        # search finds the same clusters and pads them with empty ones. Its
+        # bound reads k, so the node count may differ.
+        at_n = cc.exact_structure(space, cc.ScaleParams(r=r, k=space.n))
+        above = cc.exact_structure(space, cc.ScaleParams(r=r, k=space.n + extra))
+        assert above.optimal and above.measure == at_n.measure
+        assert above.structure.clusters == at_n.structure.clusters + (frozenset(),) * extra
 
     @settings(max_examples=1000)
     @given(

@@ -45,7 +45,8 @@ _R_PALETTE = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 4))
 
 class CheckResult(Record):
     """Outcome of one check: exact lhs/rhs and the verdict, or the reason the
-    check does not apply. ``passed`` is None iff ``applicable`` is False."""
+    check does not apply. ``passed`` is None iff ``applicable`` is False.
+    ``witness`` holds what a failing check found, as (name, value) pairs."""
 
     prop_id: str
     applicable: bool
@@ -53,7 +54,7 @@ class CheckResult(Record):
     lhs: Fraction | int | None
     rhs: Fraction | int | None
     note: str = ""
-    witness: dict | None = None
+    witness: tuple[tuple[str, int], ...] | None = None
 
 
 def _not_applicable(prop_id: str, note: str) -> CheckResult:
@@ -79,15 +80,13 @@ def _check_p1(cert, tight):
     t_expected = tight.m0 * tight.m**params.k
     gap = n - cert.exact.measure
     passed = m_count == 0 and t_top == t_expected and gap == tight.m
-    witness = None
-    if not passed:
-        witness = {
-            "mediumEdges": m_count,
-            "anticliquesTop": t_top,
-            "anticliquesTopExpected": t_expected,
-            "gap": gap,
-            "gapExpected": tight.m,
-        }
+    witness = None if passed else (
+        ("mediumEdges", m_count),
+        ("anticliquesTop", t_top),
+        ("anticliquesTopExpected", t_expected),
+        ("gap", gap),
+        ("gapExpected", tight.m),
+    )
     return CheckResult("P1", True, passed, gap, tight.m, witness=witness)
 
 
@@ -167,9 +166,7 @@ def _check_t1(cert, tight):
     exact = cert.exact
     greedy = cert.greedy
     passed = ev.meets(greedy.measure, n) and ev.meets(exact.measure, n)
-    witness = None
-    if not passed:
-        witness = {"greedyMeasure": greedy.measure, "exactMeasure": exact.measure}
+    witness = None if passed else (("greedyMeasure", greedy.measure), ("exactMeasure", exact.measure))
     return CheckResult(
         "T1",
         True,
@@ -267,7 +264,7 @@ class FailureRecord(Record):
     space_text: str
     note: str = ""
     tight: TightInstanceSpec | None = None
-    witness: dict | None = None
+    witness: tuple[tuple[str, int], ...] | None = None
 
     def to_obj(self) -> dict:
         obj = {
@@ -284,7 +281,7 @@ class FailureRecord(Record):
             t = self.tight
             obj["tight"] = {"k": t.k, "m": t.m, "m0": t.m0, "r": str(t.r)}
         if self.witness is not None:
-            obj["witness"] = self.witness
+            obj["witness"] = dict(self.witness)
         return obj
 
 

@@ -344,6 +344,27 @@ class TestFailureRoundTrip:
         assert record.to_obj()["tight"] == {"k": 1, "m": 2, "m0": 2, "r": "1"}
         assert "tight" not in verify.FailureRecord(**fields).to_obj()
 
+    def test_failing_p1_and_its_record_hash(self):
+        # A witness is held as (name, value) pairs, so records that carry one
+        # hash like any other; the report still writes it as an object.
+        spec = cc.TightInstanceSpec(k=1, m=2, m0=2, r=Fraction(1))
+        witness = cc.tight_instance(spec)
+        matrix = [list(row) for row in witness.dist]
+        matrix[0][2] = matrix[2][0] = Fraction(2)
+        broken = cc.build_space(list(witness.labels), matrix)
+        result = verify.check_proposition(broken, cc.ScaleParams(r=spec.r, k=spec.k), "P1", tight=spec)
+        expected = {"mediumEdges": 1, "anticliquesTop": 4, "anticliquesTopExpected": 4, "gap": 2, "gapExpected": 2}
+        assert result.passed is False and dict(result.witness) == expected
+        fields = dict(
+            trial=0, prop_id="P1", k=1, r="1", lhs=str(result.lhs), rhs=str(result.rhs),
+            space_text=cc.dump_space(broken), tight=spec, witness=result.witness,
+        )
+        record = verify.FailureRecord(**fields)
+        replayed = verify.replay_failure(record)
+        assert replayed == result and hash(replayed) == hash(result)
+        assert hash(record) == hash(verify.FailureRecord(**fields))
+        assert record.to_obj()["witness"] == expected
+
     @staticmethod
     def _invert(monkeypatch, prop_id):
         # The check with its verdict inverted fails wherever it passes,
@@ -380,7 +401,7 @@ class TestFailureRoundTrip:
 
         def failing(cert, tight):
             result = check(cert, tight)
-            witness = {"parts": list(cert.decomposition.w)}
+            witness = (("parts", list(cert.decomposition.w)),)
             return verify.CheckResult("P4", True, False, result.lhs, result.rhs, witness=witness)
 
         monkeypatch.setitem(verify._CHECKS, "P4", failing)
@@ -391,7 +412,7 @@ class TestFailureRoundTrip:
             space = cc.load_space(record.space_text)
             params = cc.ScaleParams(r=Fraction(record.r), k=record.k)
             parts = list(cc.greedy_decomposition(space, params).w)
-            assert record.witness == entry["witness"] == {"parts": parts}
+            assert dict(record.witness) == entry["witness"] == {"parts": parts}
         bare = verify.FailureRecord(0, "P4", 1, "1", "0", "0", report.failures[0].space_text)
         assert "witness" not in bare.to_obj()
 

@@ -301,7 +301,7 @@ class BoundCertificate(Record):
 
     def _structure_obj(self, structure, validation) -> dict:
         return {
-            "clusters": [list(_labels(self.space, c)) for c in structure.clusters],
+            "clusters": [_labels(self.space, c) for c in structure.clusters],
             "measure": structure.measure,
             "valid": validation.ok,
         }

@@ -172,10 +172,10 @@ def _cmd_greedy(args) -> int:
         "parts": [
             {
                 "index": p.index,
-                "Z": list(_labels(space, p.z)),
-                "X": list(_labels(space, p.x)),
-                "Y": list(_labels(space, p.y)),
-                "U": list(_labels(space, p.u)),
+                "Z": _labels(space, p.z),
+                "X": _labels(space, p.x),
+                "Y": _labels(space, p.y),
+                "U": _labels(space, p.u),
                 "matching": [[space.labels[a], space.labels[b]] for a, b in p.matching],
                 "mediumEdges": p.medium_edges,
                 "longEdges": p.long_edges,
@@ -202,7 +202,7 @@ def _cmd_exact(args) -> int:
         "k": params.k,
         "measure": result.measure,
         "optimal": result.optimal,
-        "clusters": [list(_labels(space, c)) for c in result.structure.clusters],
+        "clusters": [_labels(space, c) for c in result.structure.clusters],
         "nodesExplored": result.nodes_explored,
     }
     _emit(write_report(obj, fmt=args.format), args.output)

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, compress
 
 from . import stats
 from .space import FiniteSemimetricSpace, Record, ScaleParams, _bits, _mask, _positive_order, as_fraction
@@ -93,7 +93,7 @@ class ClusterStructure(Record):
     """k disjoint clusters of diameter <= 2r, pairwise at distance >= r.
 
     Clusters may be empty (padding keeps order-k structures total even when
-    fewer parts exist); the measure is the total point count.
+    fewer parts exist); the measure is the total point count, summed once.
     """
 
     clusters: tuple[frozenset[int], ...]
@@ -102,9 +102,9 @@ class ClusterStructure(Record):
     def order(self) -> int:
         return len(self.clusters)
 
-    @property
+    @cached_property
     def measure(self) -> int:
-        return sum(len(c) for c in self.clusters)
+        return sum(map(len, self.clusters))
 
 
 class ExactSearchResult(Record):
@@ -268,13 +268,12 @@ def greedy_decomposition(space: FiniteSemimetricSpace, params: ScaleParams) -> G
 
 def greedy_structure(decomp: GreedyDecomposition, k: int) -> ClusterStructure:
     """Cluster structure from the kernels of the k parts with the largest
-    |Z_i| (ties to earlier parts). Missing clusters are padded with empty
-    sets so the result always has order k.
+    |Z_i| (ties to earlier parts). Missing clusters are padded with one shared
+    empty set so the result always has order k.
     """
     _positive_order(k)
-    clusters = [decomp.parts[i].x for i in _largest(decomp.parts, k)]
-    clusters.extend(frozenset() for _ in range(k - len(clusters)))
-    return ClusterStructure(clusters=tuple(clusters))
+    opened = tuple(decomp.parts[i].x for i in _largest(decomp.parts, k))
+    return ClusterStructure(clusters=opened + (frozenset(),) * (k - len(opened)))
 
 
 class _NodeBudget(Exception):
@@ -358,10 +357,9 @@ def exact_structure(
         rec(0, 0, (), (), (1 << n) - 1)
     except _NodeBudget:
         optimal = False
-    best_masks += (0,) * (k - len(best_masks))  # the clusters never opened, empty
-
+    opened = tuple(frozenset(_bits(m)) for m in best_masks)  # the clusters never opened are empty
     return ExactSearchResult(
-        structure=ClusterStructure(clusters=tuple(frozenset(_bits(m)) for m in best_masks)),
+        structure=ClusterStructure(clusters=opened + (frozenset(),) * (k - len(opened))),
         optimal=optimal,
         nodes_explored=nodes,
     )
@@ -393,8 +391,10 @@ def validate_structure(
     share, close = view.share, view.close
     violations: list[StructureViolation] = []
     clusters = structure.clusters
-    for i, cluster in enumerate(clusters):
-        members = _mask(cluster)
+    # An empty cluster has no pair inside it, shares no point and is near no cluster.
+    occupied = list(compress(range(len(clusters)), clusters))
+    for i in occupied:
+        members = _mask(clusters[i])
         for a in _bits(members):
             for b in _bits(members & ~share[a] & ~((2 << a) - 1)):
                 violations.append(
@@ -405,8 +405,6 @@ def validate_structure(
                         distance=space.rho(a, b),
                     )
                 )
-    # Empty clusters can neither overlap nor be too close to another cluster.
-    occupied = [i for i, cluster in enumerate(clusters) if cluster]
     for i, j in combinations(occupied, 2):
         shared = clusters[i] & clusters[j]
         if shared:

@@ -300,9 +300,9 @@ def _mask(points: Iterable[int]) -> int:
     return mask
 
 
-def _labels(space: FiniteSemimetricSpace, points: Iterable[int]) -> tuple[str, ...]:
+def _labels(space: FiniteSemimetricSpace, points: Iterable[int]) -> list[str]:
     """Labels of the points, in ascending index order."""
-    return tuple(space.labels[i] for i in sorted(points))
+    return list(map(space.labels.__getitem__, sorted(points)))
 
 
 def _bits(mask: int) -> Iterator[int]:

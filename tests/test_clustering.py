@@ -239,6 +239,20 @@ class TestGreedyStructure:
         assert structure.measure == 3
         assert [len(c) for c in structure.clusters] == [2, 1, 0, 0, 0]
 
+    def test_measure_is_summed_once(self):
+        # A structure is immutable, so its measure is read from one sum.
+        lengths = 0
+
+        class Counted(frozenset):
+            def __len__(self):
+                nonlocal lengths
+                lengths += 1
+                return super().__len__()
+
+        structure = cc.ClusterStructure(clusters=(Counted({0, 1}), Counted({2}), Counted()))
+        assert [structure.measure for _ in range(3)] == [3, 3, 3]
+        assert lengths == structure.order
+
     @given(
         space=oracles.metric_spaces(min_n=1, max_n=8),
         k=st.integers(1, 3),
@@ -337,6 +351,25 @@ class TestExactStructure:
         assert above.optimal and above.measure == at_n.measure
         assert above.structure.clusters == at_n.structure.clusters + (frozenset(),) * extra
 
+    @given(
+        space=st.one_of(oracles.semimetric_spaces(min_n=1, max_n=8), oracles.metric_spaces(min_n=1, max_n=8)),
+        r=st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2)]),
+        extra=st.integers(0, 40),
+    )
+    def test_orders_above_n_pad_the_printed_structures(self, space, r, extra):
+        # Greedy and exact alike, and as the certificate prints them: the
+        # structure at k = n followed by `extra` empty clusters, same measure.
+        at_n, above = (cc.ScaleParams(r=r, k=space.n + e) for e in (0, extra))
+        decomp = cc.greedy_decomposition(space, at_n)
+        base, greedy = (cc.greedy_structure(decomp, params.k) for params in (at_n, above))
+        assert greedy.measure == base.measure
+        assert greedy.clusters == base.clusters + (frozenset(),) * extra
+        printed_at_n = cc.build_certificate(space, at_n).to_obj()
+        printed_above = cc.build_certificate(space, above).to_obj()
+        for name in ("greedy", "exact"):
+            padded = printed_at_n[name]["clusters"] + [[]] * extra
+            assert printed_above[name] == {**printed_at_n[name], "clusters": padded}
+
     @settings(max_examples=1000)
     @given(
         space=st.one_of(oracles.semimetric_spaces(max_n=10), oracles.metric_spaces(max_n=10)),
@@ -412,9 +445,18 @@ class TestValidateStructure:
         report = cc.validate_structure(s3, structure, s3_params)
         assert [v.kind for v in report.violations] == ["overlap"]
 
-    def test_empty_padding_adds_no_violations(self, s3, s3_params):
+    def test_empty_padding_adds_no_violations(self, s3, s3_params, monkeypatch):
         # One diameter, one separation and two overlap violations, then
-        # 20,000 empty clusters that must add nothing (and cost little).
+        # 20,000 empty clusters that must add nothing, and no bitmask either.
+        calls = 0
+        mask = clustering._mask
+
+        def counted(points):
+            nonlocal calls
+            calls += 1
+            return mask(points)
+
+        monkeypatch.setattr(clustering, "_mask", counted)
         clusters = (frozenset({1, 2}), frozenset({0}), frozenset({0, 1}))
         report = cc.validate_structure(s3, cc.ClusterStructure(clusters), s3_params)
         assert [v.kind for v in report.violations] == [
@@ -423,8 +465,10 @@ class TestValidateStructure:
             "overlap",
             "overlap",
         ]
+        unpadded, calls = calls, 0
         padded = cc.ClusterStructure(clusters + (frozenset(),) * 20_000)
         assert cc.validate_structure(s3, padded, s3_params) == report
+        assert calls <= unpadded
 
     def test_all_empty_structure_is_valid(self, s3, s3_params):
         structure = cc.ClusterStructure(clusters=(frozenset(), frozenset(), frozenset()))

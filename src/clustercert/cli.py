@@ -29,6 +29,10 @@ from .space import (
 
 __all__ = ["main", "build_parser"]
 
+# Caps checked before any work: an order-k structure prints k clusters, an n-point space n^2 cells.
+_MAX_ORDER = 10**6
+_MAX_POINTS = 10_000
+
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -218,12 +222,16 @@ def _cmd_generate(args) -> int:
     if spec.kind == "tight":
         if spec.m is None or spec.m0 is None:
             raise SpaceFormatError("tight generator requires --m and --m0")
-        space = generators.tight_instance(generators.TightInstanceSpec(k=spec.k, m=spec.m, m0=spec.m0, r=spec.r))
+        tight = generators.TightInstanceSpec(k=spec.k, m=spec.m, m0=spec.m0, r=spec.r)
+        n, draw = tight.n, lambda: generators.tight_instance(tight)
     else:
         if not spec.block_sizes:
             raise SpaceFormatError("planted generator requires --block-sizes")
-        space = generators.planted_instance(spec.k, list(spec.block_sizes), spec.noise, spec.r, spec.seed)
-    _emit(dump_space(space), args.output)
+        sizes = list(spec.block_sizes)
+        n, draw = sum(sizes), lambda: generators.planted_instance(spec.k, sizes, spec.noise, spec.r, spec.seed)
+    if n > _MAX_POINTS:
+        raise ValueError(f"generated space exceeds the cap of {_MAX_POINTS} points")
+    _emit(dump_space(draw()), args.output)
     return 0
 
 
@@ -274,6 +282,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "exact_limit", 0) < 0:
             raise ValueError(f"--exact-limit must be non-negative, got {args.exact_limit}")
+        if args.command in ("analyze", "exact") and args.k > _MAX_ORDER:
+            raise ValueError(f"--k exceeds the cap of {_MAX_ORDER}")
         return _COMMANDS[args.command](args)
     except (ValueError, clustering.SearchLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from inspect import ismodule
 from pathlib import Path
 
 import pytest
 
 import clustercert as cc
-from clustercert.cli import main
+from clustercert import cli
+from clustercert.cli import build_parser, main
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -555,3 +557,81 @@ class TestMalformedInput:
             main(["analyze", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: clustercert analyze ")
+
+
+
+# The option sweep: each value, by name, for every integer option of every command.
+SWEEP_VALUES = {"-1": -1, "0": 0, "1": 1, "2to31": 2**31, "10to8": 10**8, "10to30": 10**30}
+# A name, arguments on a 2-point space, and the integer options swept over them;
+# a later flag overrides an earlier one, so a case appends its option to these.
+SWEEP_COMMANDS = [
+    ("analyze", ["analyze", "--input", "{space}", "--r", "1", "--k", "1"], ["--k", "--exact-limit"]),
+    ("greedy", ["greedy", "--input", "{space}", "--r", "1", "--k", "1"], ["--k"]),
+    ("exact", ["exact", "--input", "{space}", "--r", "1", "--k", "1"], ["--k", "--exact-limit"]),
+    ("tight", ["generate", "--kind", "tight", "--r", "1", "--k", "1", "--m", "1", "--m0", "1"],
+     ["--k", "--m", "--m0", "--seed"]),
+    ("planted", ["generate", "--kind", "planted", "--r", "1", "--k", "1", "--block-sizes", "2"],
+     ["--k", "--block-sizes", "--seed"]),
+    ("discretize", ["discretize", "--input", "{weighted}", "--eps", "1/2"], ["--max-multiplicity"]),
+    ("verify", ["verify", "--trials", "3"], ["--seed", "--trials", "--max-n", "--k-range", "--exact-limit"]),
+]
+# A large --trials is the work the user asked for, not a value to refuse, so it is left out.
+SWEEP_CASES = [
+    pytest.param([*base, f"{option}={value}"], id=f"{label}{option}={name}")
+    for label, base, options in SWEEP_COMMANDS
+    for option in options
+    for name, value in SWEEP_VALUES.items()
+    if not (option == "--trials" and value > 1)
+]
+
+
+class TestOptionValues:
+    def test_every_integer_option_is_swept(self):
+        commands = next(a for a in build_parser()._actions if a.choices and "analyze" in a.choices).choices
+        swept = {name: set() for name in commands}
+        for _, base, options in SWEEP_COMMANDS:
+            swept[base[0]].update(options)
+        integer = {
+            name: {a.option_strings[0] for a in parser._actions if a.type in (int, cli._int_list)}
+            for name, parser in commands.items()
+        }
+        assert swept == integer
+
+    @pytest.mark.parametrize("argv", SWEEP_CASES)
+    def test_exits_0_or_1_with_one_error_line(self, capsys, tmp_path, argv):
+        # In-process: an exception that escapes main fails the case as a traceback would.
+        space, weighted = tmp_path / "two.space", tmp_path / "two.weighted"
+        space.write_text("2\na b\n0 3\n3 0\n", encoding="utf-8")
+        weighted.write_text("2\na b\n0 3\n3 0\n1 1\n", encoding="utf-8")
+        argv = [arg.format(space=space, weighted=weighted) for arg in argv]
+        start = time.perf_counter()
+        code, _, err = _run(capsys, *argv, "--output", str(tmp_path / "out"))
+        assert time.perf_counter() - start < 5
+        assert code in (0, 1) and "Traceback" not in err
+        if code == 1:
+            assert err.splitlines()[-1].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", "--input", "{space}", "--r", "1", "--k", str(10**18)], "--k exceeds the cap of 1000000"),
+            (["exact", "--input", "{space}", "--r", "1", "--k", str(10**30)], "--k exceeds the cap of 1000000"),
+            (["generate", "--kind", "tight", "--r", "1", "--k", str(10**30), "--m", "1", "--m0", "1"],
+             "generated space exceeds the cap of 10000 points"),
+            (["generate", "--kind", "planted", "--r", "1", "--k", "1", "--block-sizes", "100000"],
+             "generated space exceeds the cap of 10000 points"),
+        ],
+        ids=["analyze-k", "exact-k", "tight-k", "planted-block"],
+    )
+    def test_caps_refuse_before_any_work(self, capsys, tmp_path, argv, message):
+        # The refusal names the option or the cap and never prints the value asked for.
+        code, out, err = _run(capsys, *(arg.format(space=tmp_path / "unread") for arg in argv))
+        assert code == 1 and not out
+        assert err == f"error: {message}\n"
+
+    def test_the_order_cap_is_inclusive(self, capsys, s3_file, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_ORDER", 5)
+        argv = ["exact", "--input", str(s3_file), "--r", "1"]
+        code, out, _ = _run(capsys, *argv, "--k", "5")
+        assert code == 0 and len(json.loads(out)["clusters"]) == 5
+        assert _run(capsys, *argv, "--k", "6") == (1, "", "error: --k exceeds the cap of 5\n")

@@ -559,7 +559,6 @@ class TestMalformedInput:
         assert capsys.readouterr().out.startswith("usage: clustercert analyze ")
 
 
-
 # The option sweep: each value, by name, for every integer option of every command.
 SWEEP_VALUES = {"-1": -1, "0": 0, "1": 1, "2to31": 2**31, "10to8": 10**8, "10to30": 10**30}
 # A name, arguments on a 2-point space, and the integer options swept over them;

@@ -4,8 +4,9 @@ Subcommands: analyze (full certificate), greedy (decomposition dump), exact
 (optimal structure), generate (block witness / planted instance), discretize
 (weighted-to-uniform collapse), and verify (randomized check suite).
 
-Exit status: 0 on success, 1 on input and usage errors, 2 when verify finds
-check failures -- so CI can distinguish "checks failed" from "could not run".
+Each command returns its result, and ``main`` writes it and decides the exit
+status: 0 on success, 1 on input and usage errors, 2 when verify finds check
+failures -- so CI can distinguish "checks failed" from "could not run".
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .space import (
 
 __all__ = ["main", "build_parser"]
 
-# Caps checked before any work: an order-k structure prints k clusters, an n-point space n^2 cells.
+# Caps checked before printing: an order-k structure prints k clusters, a written space n^2 cells.
 _MAX_ORDER = 10**6
 _MAX_POINTS = 10_000
 
@@ -109,25 +110,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--input", required=True, help="space file (text or JSON object)")
-        p.add_argument("--r", type=_printable_fraction, required=True, help="scale r (exact, e.g. 0.5 or 1/3)")
-        p.add_argument("--k", type=int, required=True, help="structure order k")
-        p.add_argument("--output", help="write result here instead of stdout")
-        p.add_argument("--format", choices=("json", "text"), default="json")
+    scale, output, fmt, limit = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    scale.add_argument("--input", required=True, help="space file (text or JSON object)")
+    scale.add_argument("--r", type=_printable_fraction, required=True, help="scale r (exact, e.g. 0.5 or 1/3)")
+    scale.add_argument("--k", type=int, required=True, help="structure order k")
+    output.add_argument("--output", help="write result here instead of stdout")
+    fmt.add_argument("--format", choices=("json", "text"), default="json")
+    limit.add_argument("--exact-limit", type=int, default=clustering.DEFAULT_EXACT_LIMIT)
 
-    p_analyze = sub.add_parser("analyze", help="full bound certificate")
-    add_common(p_analyze)
-    p_analyze.add_argument("--exact-limit", type=int, default=clustering.DEFAULT_EXACT_LIMIT)
+    sub.add_parser("analyze", parents=[scale, output, fmt, limit], help="full bound certificate")
+    sub.add_parser("greedy", parents=[scale, output, fmt], help="greedy decomposition dump")
+    sub.add_parser("exact", parents=[scale, output, fmt, limit], help="maximum-measure structure")
 
-    p_greedy = sub.add_parser("greedy", help="greedy decomposition dump")
-    add_common(p_greedy)
-
-    p_exact = sub.add_parser("exact", help="maximum-measure structure")
-    add_common(p_exact)
-    p_exact.add_argument("--exact-limit", type=int, default=clustering.DEFAULT_EXACT_LIMIT)
-
-    p_gen = sub.add_parser("generate", help="emit a generated space file")
+    p_gen = sub.add_parser("generate", parents=[output], help="emit a generated space file")
     p_gen.add_argument("--kind", choices=("tight", "planted"))
     p_gen.add_argument("--r", type=_fraction)
     p_gen.add_argument("--k", type=int)
@@ -137,39 +132,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--noise", type=_fraction, default=Fraction(0))
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--config", help="JSON file with the generator spec (overrides flags)")
-    p_gen.add_argument("--output", help="write result here instead of stdout")
 
-    p_disc = sub.add_parser("discretize", help="weighted space -> uniform multiplicity space")
+    p_disc = sub.add_parser("discretize", parents=[output], help="weighted space -> uniform multiplicity space")
     p_disc.add_argument("--input", required=True, help="weighted space file")
     p_disc.add_argument("--eps", type=_fraction, required=True)
-    p_disc.add_argument("--max-multiplicity", type=int, default=100_000)
-    p_disc.add_argument("--output", help="write result here instead of stdout")
 
-    p_verify = sub.add_parser("verify", help="run the randomized check suite")
+    p_verify = sub.add_parser("verify", parents=[output, fmt, limit], help="run the randomized check suite")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=200)
     p_verify.add_argument("--max-n", type=int, default=10)
     p_verify.add_argument("--k-range", type=_int_list, default=(1, 2, 3))
-    p_verify.add_argument("--exact-limit", type=int, default=clustering.DEFAULT_EXACT_LIMIT)
-    p_verify.add_argument("--output", help="write the report here instead of stdout")
-    p_verify.add_argument("--format", choices=("json", "text"), default="json")
 
     return parser
 
 
-def _cmd_analyze(args) -> int:
-    space = _read_input(args.input, space_from_obj, load_space)
-    params = ScaleParams(r=args.r, k=args.k)
-    cert = bounds.build_certificate(space, params, exact_limit=args.exact_limit)
-    _emit(write_report(cert, fmt=args.format), args.output)
-    return 0
+def _cmd_analyze(args, space, params):
+    return bounds.build_certificate(space, params, exact_limit=args.exact_limit)
 
 
-def _cmd_greedy(args) -> int:
-    space = _read_input(args.input, space_from_obj, load_space)
-    params = ScaleParams(r=args.r, k=args.k)
+def _cmd_greedy(args, space, params):
     decomp = clustering.greedy_decomposition(space, params)
-    obj = {
+    return {
         "n": space.n,
         "r": str(params.r),
         "k": params.k,
@@ -192,15 +175,11 @@ def _cmd_greedy(args) -> int:
         "I2": list(decomp.i2),
         "farPairs": decomp.far_pair_count,
     }
-    _emit(write_report(obj, fmt=args.format), args.output)
-    return 0
 
 
-def _cmd_exact(args) -> int:
-    space = _read_input(args.input, space_from_obj, load_space)
-    params = ScaleParams(r=args.r, k=args.k)
+def _cmd_exact(args, space, params):
     result = clustering.exact_structure(space, params, max_points=args.exact_limit)
-    obj = {
+    return {
         "n": space.n,
         "r": str(params.r),
         "k": params.k,
@@ -209,11 +188,9 @@ def _cmd_exact(args) -> int:
         "clusters": [_labels(space, c) for c in result.structure.clusters],
         "nodesExplored": result.nodes_explored,
     }
-    _emit(write_report(obj, fmt=args.format), args.output)
-    return 0
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args):
     spec = _read_input(args.config, _config_args) if args.config else args
     if spec.kind not in ("tight", "planted"):
         raise SpaceFormatError(f"generator kind must be 'tight' or 'planted', got {spec.kind!r}")
@@ -231,23 +208,21 @@ def _cmd_generate(args) -> int:
         n, draw = sum(sizes), lambda: generators.planted_instance(spec.k, sizes, spec.noise, spec.r, spec.seed)
     if n > _MAX_POINTS:
         raise ValueError(f"generated space exceeds the cap of {_MAX_POINTS} points")
-    _emit(dump_space(draw()), args.output)
-    return 0
+    return dump_space(draw())
 
 
-def _cmd_discretize(args) -> int:
+def _cmd_discretize(args):
     weighted = _read_input(
         args.input, generators.weighted_space_from_obj, generators.load_weighted_space
     )
     partition = generators.epsilon_partition(weighted, args.eps)
     space = generators.uniformize(
-        weighted, partition, args.eps, max_total_multiplicity=args.max_multiplicity
+        weighted, partition, args.eps, max_total_multiplicity=_MAX_POINTS
     )
-    _emit(dump_space(space), args.output)
-    return 0
+    return dump_space(space)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     config = verify.SuiteConfig(
         seed=args.seed,
         trials=args.trials,
@@ -255,9 +230,7 @@ def _cmd_verify(args) -> int:
         k_values=tuple(args.k_range),
         exact_limit=args.exact_limit,
     )
-    report = verify.run_suite(config)
-    _emit(write_report(report, fmt=args.format), args.output)
-    return 2 if report.failure_count else 0
+    return verify.run_suite(config)
 
 
 _COMMANDS = {
@@ -279,15 +252,22 @@ def main(argv=None) -> int:
         if exc.code != 2:
             raise
         return 1
+    command = _COMMANDS[args.command]
     try:
         if getattr(args, "exact_limit", 0) < 0:
             raise ValueError(f"--exact-limit must be non-negative, got {args.exact_limit}")
         if args.command in ("analyze", "exact") and args.k > _MAX_ORDER:
             raise ValueError(f"--k exceeds the cap of {_MAX_ORDER}")
-        return _COMMANDS[args.command](args)
+        if args.command in ("analyze", "greedy", "exact"):
+            space = _read_input(args.input, space_from_obj, load_space)
+            result = command(args, space, ScaleParams(r=args.r, k=args.k))
+        else:
+            result = command(args)
+        _emit(result if isinstance(result, str) else write_report(result, fmt=args.format), args.output)
     except (ValueError, clustering.SearchLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 2 if isinstance(result, verify.VerificationReport) and result.failure_count else 0
 
 
 if __name__ == "__main__":

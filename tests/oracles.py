@@ -229,23 +229,6 @@ def exact_structure(space: FiniteSemimetricSpace, params: ScaleParams) -> ExactS
     return ExactSearchResult(ClusterStructure(best), True, nodes)
 
 
-def is_valid_structure(space: FiniteSemimetricSpace, clusters, r) -> bool:
-    r = Fraction(r)
-    flat = [p for c in clusters for p in c]
-    if len(flat) != len(set(flat)):
-        return False
-    for cluster in clusters:
-        for a, b in combinations(sorted(cluster), 2):
-            if space.dist[a][b] > 2 * r:
-                return False
-    for ci, cj in combinations(range(len(clusters)), 2):
-        for a in clusters[ci]:
-            for b in clusters[cj]:
-                if space.dist[a][b] < r:
-                    return False
-    return True
-
-
 def is_metric(space: FiniteSemimetricSpace) -> bool:
     n = space.n
     for i in range(n):

@@ -74,6 +74,29 @@ def s3_file(tmp_path, s3):
     return path
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--input", "{s3}", "--r", "1", "--k", "2"],
+        ["greedy", "--input", "{s3}", "--r", "1", "--k", "2"],
+        ["exact", "--input", "{s3}", "--r", "1", "--k", "2"],
+        ["generate", "--kind", "tight", "--k", "1", "--m", "1", "--m0", "2", "--r", "1"],
+        ["discretize", "--input", "{weighted}", "--eps", "1/2"],
+        ["verify", "--trials", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_output_file_holds_the_printed_bytes(capsys, tmp_path, s3_file, argv):
+    weighted = tmp_path / "two.weighted"
+    weighted.write_text("2\na b\n0 3\n3 0\n1 1\n", encoding="utf-8")
+    argv = [arg.format(s3=s3_file, weighted=weighted) for arg in argv]
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and out and not err
+    out_path = tmp_path / "out"
+    assert _run(capsys, *argv, "--output", str(out_path)) == (0, "", "")
+    assert out_path.read_bytes() == out.encode()
+
+
 class TestAnalyze:
     def test_tight_certificate_json(self, capsys, tight_file):
         code, out, err = _run(
@@ -116,7 +139,7 @@ class TestAnalyze:
         path.write_text("2\na b\n0 1\n1 0\n1e-4300 1\n", encoding="utf-8")
         code, out, err = _run(capsys, "discretize", "--input", str(path), "--eps", "0.5")
         assert code == 1 and not out
-        assert err == "error: uniformized space needs more than 10^4285 points, above the cap of 100000\n"
+        assert err == "error: uniformized space needs more than 10^4285 points, above the cap of 10000\n"
 
     def test_json_object_input(self, capsys, tmp_path, s3):
         path = tmp_path / "s3.json"
@@ -258,6 +281,21 @@ class TestDiscretize:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    def test_the_point_cap_is_shared_with_generate(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_POINTS", 3)
+        path = tmp_path / "two.weighted"
+        argv = ["discretize", "--input", str(path), "--eps", "1/2"]
+        path.write_text("2\na b\n0 3\n3 0\n1 2\n", encoding="utf-8")
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0 and cc.load_space(out).n == 3
+        path.write_text("2\na b\n0 3\n3 0\n1 3\n", encoding="utf-8")
+        assert _run(capsys, *argv) == (1, "", "error: uniformized space needs 4 points, above the cap of 3\n")
+        tight = ["generate", "--kind", "tight", "--k", "1", "--m", "2", "--m0", "2", "--r", "1"]
+        assert _run(capsys, *tight) == (1, "", "error: generated space exceeds the cap of 3 points\n")
+        code, out, err = _run(capsys, *argv, "--max-multiplicity", "5")
+        assert code == 1 and not out
+        assert "error: unrecognized arguments: --max-multiplicity 5" in err
+
 
 class TestVerify:
     def test_clean_suite_exits_zero(self, capsys, tmp_path):
@@ -286,6 +324,16 @@ class TestVerify:
         _, out1, _ = _run(capsys, *argv)
         _, out2, _ = _run(capsys, *argv)
         assert out1 == out2
+
+    def test_failing_report_exits_2(self, capsys, tmp_path, monkeypatch):
+        failure = cc.FailureRecord(trial=0, prop_id="P1", k=1, r="1", lhs="1", rhs="2", space_text="1\na\n0\n")
+        monkeypatch.setattr(cli.verify, "run_suite", lambda config: cc.VerificationReport(config, (), (failure,), ()))
+        code, out, err = _run(capsys, "verify", "--trials", "3")
+        assert code == 2 and not err
+        assert json.loads(out)["failureCount"] == 1
+        out_path = tmp_path / "report.json"
+        assert _run(capsys, "verify", "--trials", "3", "--output", str(out_path)) == (2, "", "")
+        assert out_path.read_bytes() == out.encode()
 
     def test_k_range_flag(self, capsys):
         code, out, _ = _run(
@@ -553,10 +601,11 @@ class TestMalformedInput:
         assert "error: argument --trials" in run.stderr
 
     def test_help_still_exits_0(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--help"])
-        assert exc.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: clustercert analyze ")
+        for command in cli._COMMANDS:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith(f"usage: clustercert {command} ")
 
 
 # The option sweep: each value, by name, for every integer option of every command.
@@ -571,7 +620,6 @@ SWEEP_COMMANDS = [
      ["--k", "--m", "--m0", "--seed"]),
     ("planted", ["generate", "--kind", "planted", "--r", "1", "--k", "1", "--block-sizes", "2"],
      ["--k", "--block-sizes", "--seed"]),
-    ("discretize", ["discretize", "--input", "{weighted}", "--eps", "1/2"], ["--max-multiplicity"]),
     ("verify", ["verify", "--trials", "3"], ["--seed", "--trials", "--max-n", "--k-range", "--exact-limit"]),
 ]
 # A large --trials is the work the user asked for, not a value to refuse, so it is left out.

@@ -647,10 +647,9 @@ class TestOptionValues:
     @pytest.mark.parametrize("argv", SWEEP_CASES)
     def test_exits_0_or_1_with_one_error_line(self, capsys, tmp_path, argv):
         # In-process: an exception that escapes main fails the case as a traceback would.
-        space, weighted = tmp_path / "two.space", tmp_path / "two.weighted"
+        space = tmp_path / "two.space"
         space.write_text("2\na b\n0 3\n3 0\n", encoding="utf-8")
-        weighted.write_text("2\na b\n0 3\n3 0\n1 1\n", encoding="utf-8")
-        argv = [arg.format(space=space, weighted=weighted) for arg in argv]
+        argv = [arg.format(space=space) for arg in argv]
         start = time.perf_counter()
         code, _, err = _run(capsys, *argv, "--output", str(tmp_path / "out"))
         assert time.perf_counter() - start < 5

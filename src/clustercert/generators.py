@@ -223,10 +223,6 @@ class WeightedFiniteSpace(Record):
             if w <= 0:
                 raise ValueError(f"weight {idx} must be positive, got {w}")
 
-    @property
-    def total_weight(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
 
 def epsilon_partition(w: WeightedFiniteSpace, eps) -> tuple[tuple[int, ...], ...]:
     """Greedy covering partition with pivot radius eps/2.

@@ -25,7 +25,7 @@ from . import bounds, stats
 from .clustering import DEFAULT_EXACT_LIMIT
 from .generators import TightInstanceSpec, planted_instance, random_metric_instance, tight_instance
 from .space import (
-    FiniteSemimetricSpace, Record, ScaleParams, _is_int, as_fraction, dump_space, load_space
+    FiniteSemimetricSpace, Record, ScaleParams, _is_int, dump_space, load_space
 )
 
 __all__ = [
@@ -44,21 +44,24 @@ _R_PALETTE = (Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3, 4))
 
 
 class CheckResult(Record):
-    """Outcome of one check: exact lhs/rhs and the verdict, or the reason the
-    check does not apply. ``passed`` is None iff ``applicable`` is False.
+    """Outcome of one check: exact lhs/rhs and the verdict, or, with
+    ``passed`` None, the reason the check does not apply.
     ``witness`` holds what a failing check found, as (name, value) pairs."""
 
     prop_id: str
-    applicable: bool
     passed: bool | None
     lhs: Fraction | int | None
     rhs: Fraction | int | None
     note: str = ""
     witness: tuple[tuple[str, int], ...] | None = None
 
+    @property
+    def applicable(self) -> bool:
+        return self.passed is not None
+
 
 def _not_applicable(prop_id: str, note: str) -> CheckResult:
-    return CheckResult(prop_id, False, None, None, None, note)
+    return CheckResult(prop_id, None, None, None, note)
 
 
 def _check_p1(cert, tight):
@@ -87,7 +90,7 @@ def _check_p1(cert, tight):
         ("gap", gap),
         ("gapExpected", tight.m),
     )
-    return CheckResult("P1", True, passed, gap, tight.m, witness=witness)
+    return CheckResult("P1", passed, gap, tight.m, witness=witness)
 
 
 def _check_p2(cert, tight):
@@ -101,7 +104,7 @@ def _check_p2(cert, tight):
     b = parts[0].x if parts else frozenset()
     lhs = cert.observed.medium_edges
     rhs = Fraction(max(n, 2 * len(b)) * (n - len(b)), 2)
-    return CheckResult("P2", True, lhs >= rhs, lhs, rhs)
+    return CheckResult("P2", lhs >= rhs, lhs, rhs)
 
 
 def _check_p3(cert, tight):
@@ -113,7 +116,7 @@ def _check_p3(cert, tight):
     decomp = cert.decomposition
     lhs = sum(len(decomp.parts[i].z) for i in decomp.i1)
     rhs = (cert.params.k + 1) * ev.inputs.beta / ev.inputs.alpha * cert.space.n
-    return CheckResult("P3", True, lhs <= rhs, lhs, rhs)
+    return CheckResult("P3", lhs <= rhs, lhs, rhs)
 
 
 def _check_p4(cert, tight):
@@ -123,7 +126,7 @@ def _check_p4(cert, tight):
     lhs = cert.observed.anticliques_k_plus_1
     e_top = stats.elementary_symmetric(cert.decomposition.w, k + 1)
     rhs = Fraction(e_top, factorial(k + 1)) if e_top else Fraction(0)
-    return CheckResult("P4", True, lhs >= rhs, lhs, rhs)
+    return CheckResult("P4", lhs >= rhs, lhs, rhs)
 
 
 def _check_p5(cert, tight):
@@ -139,7 +142,7 @@ def _check_p5(cert, tight):
         slack = Fraction(k, 2) * ev.lam * cert.space.n**k / factorial(k - 2)
     lhs = cert.observed.anticliques_k
     rhs = stats.elementary_symmetric(cert.decomposition.w, k) + slack
-    return CheckResult("P5", True, lhs <= rhs, lhs, rhs)
+    return CheckResult("P5", lhs <= rhs, lhs, rhs)
 
 
 def _check_p6(cert, tight):
@@ -150,7 +153,7 @@ def _check_p6(cert, tight):
         return _not_applicable("P6", ev.reason)
     lhs = sum(cert.decomposition.w[:k])
     rhs = (1 - Fraction(factorial(k + 1)) * ev.inputs.beta / ev.alpha_prime) * cert.space.n
-    return CheckResult("P6", True, lhs >= rhs, lhs, rhs)
+    return CheckResult("P6", lhs >= rhs, lhs, rhs)
 
 
 def _check_t1(cert, tight):
@@ -169,7 +172,6 @@ def _check_t1(cert, tight):
     witness = None if passed else (("greedyMeasure", greedy.measure), ("exactMeasure", exact.measure))
     return CheckResult(
         "T1",
-        True,
         passed,
         min(greedy.measure, exact.measure),
         Fraction(ev.value) * n,
@@ -245,43 +247,42 @@ class SuiteConfig(Record):
 
 class PropTally(Record):
     prop_id: str
-    applicable: int
     passed: int
     failed: int
 
+    @property
+    def applicable(self) -> int:
+        return self.passed + self.failed
+
 
 class FailureRecord(Record):
-    """A failed check plus everything needed to reproduce it: the space in
-    file format, the exact scale parameters and, for P1, the block-witness
-    construction data."""
+    """A failed check and everything needed to reproduce it: the scale
+    parameters, the space in file format and, for P1, the block-witness
+    construction data. Replaying it gives a result equal to ``result``."""
 
     trial: int
-    prop_id: str
-    k: int
-    r: str
-    lhs: str
-    rhs: str
+    params: ScaleParams
+    result: CheckResult
     space_text: str
-    note: str = ""
     tight: TightInstanceSpec | None = None
-    witness: tuple[tuple[str, int], ...] | None = None
 
     def to_obj(self) -> dict:
+        result = self.result
         obj = {
             "trial": self.trial,
-            "prop": self.prop_id,
-            "k": self.k,
-            "r": self.r,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
+            "prop": result.prop_id,
+            "k": self.params.k,
+            "r": str(self.params.r),
+            "lhs": str(result.lhs),
+            "rhs": str(result.rhs),
             "space": self.space_text,
-            "note": self.note,
+            "note": result.note,
         }
         if self.tight is not None:
             t = self.tight
             obj["tight"] = {"k": t.k, "m": t.m, "m0": t.m0, "r": str(t.r)}
-        if self.witness is not None:
-            obj["witness"] = dict(self.witness)
+        if result.witness is not None:
+            obj["witness"] = dict(result.witness)
         return obj
 
 
@@ -351,7 +352,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     Exact-search budget exhaustion inside a trial is reported in ``notes``
     and the affected check counts as not applicable, never as a failure.
     """
-    counts = {pid: [0, 0, 0] for pid in PROP_IDS}
+    counts = {pid: [0, 0] for pid in PROP_IDS}
     failures: list[FailureRecord] = []
     notes: list[str] = []
     for trial in range(config.trials):
@@ -375,25 +376,12 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                 if "budget" in result.note:
                     notes.append(f"trial {trial}: {prop_id}: {result.note}")
                 continue
-            counts[prop_id][0] += 1
             if result.passed:
-                counts[prop_id][1] += 1
+                counts[prop_id][0] += 1
             else:
-                counts[prop_id][2] += 1
-                failures.append(
-                    FailureRecord(
-                        trial=trial,
-                        prop_id=prop_id,
-                        k=k,
-                        r=str(r),
-                        lhs=str(result.lhs),
-                        rhs=str(result.rhs),
-                        space_text=dump_space(space),
-                        note=result.note,
-                        tight=tight_spec if prop_id == "P1" else None,
-                        witness=result.witness,
-                    )
-                )
+                counts[prop_id][1] += 1
+                tight = tight_spec if prop_id == "P1" else None
+                failures.append(FailureRecord(trial, params, result, dump_space(space), tight))
     tallies = tuple(PropTally(pid, *counts[pid]) for pid in PROP_IDS)
     return VerificationReport(
         config=config,
@@ -410,7 +398,6 @@ def replay_failure(record: FailureRecord, *, exact_limit: int | None = None) -> 
     space = load_space(record.space_text)
     if exact_limit is None:
         exact_limit = max(DEFAULT_EXACT_LIMIT, space.n)
-    params = ScaleParams(r=as_fraction(record.r), k=record.k)
     return check_proposition(
-        space, params, record.prop_id, tight=record.tight, exact_limit=exact_limit
+        space, record.params, record.result.prop_id, tight=record.tight, exact_limit=exact_limit
     )

@@ -183,11 +183,11 @@ def test_criterion_6_discretization_sandwich():
         for label in uniform.labels:
             counts[label.split("_")[0]] = counts.get(label.split("_")[0], 0) + 1
         sizes = [counts[f"a{i}"] for i in range(len(partition))]
-        total = sum(sizes)
+        total, mu_total = sum(sizes), sum(w.weights)
         for part, size in zip(partition, sizes):
             mu_part = sum((w.weights[p] for p in part), Fraction(0))
-            assert (1 - eps) * mu_part * total / w.total_weight <= size
-            assert size <= mu_part * total / ((1 - eps) * w.total_weight)
+            assert (1 - eps) * mu_part * total / mu_total <= size
+            assert size <= mu_part * total / ((1 - eps) * mu_total)
     _report("criterion-6 discretization sandwich", True, "50 weighted spaces")
 
 

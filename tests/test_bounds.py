@@ -177,6 +177,11 @@ class TestLegacyBound:
     def test_no_penalties_gives_one(self):
         assert cc.legacy_bound(0, 0, 3) == 1.0
 
+    @pytest.mark.parametrize("beta, delta", [(Fraction(-1, 100), 0), (0, Fraction(-1, 100))], ids=["beta", "delta"])
+    def test_negative_penalty_rejected(self, beta, delta):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            cc.legacy_bound(beta, delta, 2)
+
     def test_improved_bound_dominates_on_grid(self):
         # Wherever the improved bound applies on this grid, it is at least
         # the older beta^(1/(k+1)) bound (usually far above it).
@@ -363,6 +368,12 @@ class TestBuildCertificate:
         assert cert.greedy.measure == 3
         assert cert.exact.measure == 3
         assert cert.greedy_validation.ok and cert.exact_validation.ok
+
+    def test_refused_exact_search_validates_nothing(self, s3, s3_params):
+        cert = cc.build_certificate(s3, s3_params, exact_limit=2)
+        assert cert.exact is None and cert.exact_validation is None
+        assert cert.exact_note == "3 points exceeds the exact-search limit of 2"
+        assert cert.greedy_validation.ok
 
     def test_tight_certificate(self, tight9, tight9_params):
         cert = cc.build_certificate(tight9, tight9_params)

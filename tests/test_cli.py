@@ -326,7 +326,8 @@ class TestVerify:
         assert out1 == out2
 
     def test_failing_report_exits_2(self, capsys, tmp_path, monkeypatch):
-        failure = cc.FailureRecord(trial=0, prop_id="P1", k=1, r="1", lhs="1", rhs="2", space_text="1\na\n0\n")
+        result = cc.CheckResult("P1", False, 1, 2)
+        failure = cc.FailureRecord(trial=0, params=cc.ScaleParams(1, 1), result=result, space_text="1\na\n0\n")
         monkeypatch.setattr(cli.verify, "run_suite", lambda config: cc.VerificationReport(config, (), (failure,), ()))
         code, out, err = _run(capsys, "verify", "--trials", "3")
         assert code == 2 and not err
@@ -674,6 +675,20 @@ class TestOptionValues:
         code, out, err = _run(capsys, *(arg.format(space=tmp_path / "unread") for arg in argv))
         assert code == 1 and not out
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--kind", "planted", "--r", "1", "--k", "1", "--block-sizes", "2,x"],
+            ["verify", "--k-range", "1,a"],
+        ],
+        ids=["block-sizes", "k-range"],
+    )
+    def test_non_integer_list_is_a_usage_error(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and not out
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"clustercert {argv[0]}: error: argument {argv[-2]}: expected integers, got {argv[-1]!r}"]
 
     def test_the_order_cap_is_inclusive(self, capsys, s3_file, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_ORDER", 5)

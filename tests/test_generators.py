@@ -254,6 +254,10 @@ class TestSpaceFromPoints:
         with pytest.raises(ValueError):
             cc.space_from_points([(0, 0), (1,)])
 
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="unknown metric 'l2'"):
+            cc.space_from_points([(0, 0), (1, 2)], metric="l2")
+
 
 def _weighted(points, weights):
     return cc.WeightedFiniteSpace(base=cc.space_from_points(points), weights=tuple(weights))
@@ -365,7 +369,7 @@ class TestUniformize:
         space = cc.uniformize(w, partition, eps)
         sizes = _block_sizes(space)
         total = sum(sizes)
-        mu_total = w.total_weight
+        mu_total = sum(w.weights)
         for part, size in zip(partition, sizes):
             mu_part = sum((w.weights[p] for p in part), Fraction(0))
             assert (1 - eps) * mu_part * total / mu_total <= size
@@ -405,7 +409,7 @@ class TestAnticliqueTransfer:
                 for i in subset:
                     product *= measures[i]
                 source += product
-        rhs = (1 - eps) ** k * Fraction(total, 1) ** k / w.total_weight**k * source
+        rhs = (1 - eps) ** k * Fraction(total, 1) ** k / sum(w.weights)**k * source
         assert lhs >= rhs
 
 

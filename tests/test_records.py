@@ -24,7 +24,7 @@ class TestConstruction:
     def test_fields_follow_the_annotations(self):
         assert Pair._fields == ("a", "b")
         assert cc.CheckResult._fields == (
-            "prop_id", "applicable", "passed", "lhs", "rhs", "note", "witness"
+            "prop_id", "passed", "lhs", "rhs", "note", "witness"
         )
 
     @pytest.mark.parametrize(
@@ -62,8 +62,8 @@ class TestConstruction:
         config = verify.SuiteConfig()
         assert (config.seed, config.trials, config.max_n, config.k_values) == (0, 200, 10, (1, 2, 3))
         assert config.node_budget is None
-        result = verify.CheckResult("P1", True, True, 0, 0)
-        assert result.note == "" and result.witness is None
+        result = verify.CheckResult("P1", True, 0, 0)
+        assert result.note == "" and result.witness is None and result.applicable
 
     def test_post_init_normalises(self):
         assert verify.SuiteConfig(k_values=[2]).k_values == (2,)
@@ -99,7 +99,7 @@ class TestValueSemantics:
         assert params.k == 2
 
     def test_pickle_round_trip(self):
-        result = verify.CheckResult("P2", False, None, None, None, note="n/a")
+        result = verify.CheckResult("P2", None, None, None, note="n/a")
         assert pickle.loads(pickle.dumps(result)) == result
 
 

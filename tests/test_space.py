@@ -722,6 +722,12 @@ def test_as_fraction_rejects_booleans(value):
         cc.as_fraction(value)
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_as_fraction_rejects_non_finite_floats(value):
+    with pytest.raises(ValueError, match="not a finite number"):
+        cc.as_fraction(value)
+
+
 def _formatted_rationals():
     """Fractions whose denominators are 2^a 5^b (a = b or not, up to 60) or
     anything else, of either sign, zero and integers among them."""

@@ -45,6 +45,13 @@ class TestCheckProposition:
         )
         assert not result.applicable
 
+    def test_p1_rejects_a_space_of_another_size(self, tight9, tight9_params):
+        # r and k match the construction, but it builds 10 points, not 9.
+        spec = cc.TightInstanceSpec(k=2, m=3, m0=4, r=Fraction(1))
+        result = verify.check_proposition(tight9, tight9_params, "P1", tight=spec)
+        assert not result.applicable
+        assert result.note == "space size does not match the construction"
+
     def test_p2_reference_example(self):
         space = _four_point_bounded_space()
         result = verify.check_proposition(space, cc.ScaleParams(r=1, k=1), "P2")
@@ -305,20 +312,9 @@ class TestFailureRoundTrip:
         )
         params = cc.ScaleParams(r=Fraction(1), k=1)
         original = verify.check_proposition(bad, params, "P2")
-        record = verify.FailureRecord(
-            trial=0,
-            prop_id="P2",
-            k=params.k,
-            r=str(params.r),
-            lhs=str(original.lhs),
-            rhs=str(original.rhs),
-            space_text=cc.dump_space(bad),
-        )
-        replayed = verify.replay_failure(record)
-        assert replayed.applicable
-        assert replayed.passed is False
-        assert str(replayed.lhs) == record.lhs
-        assert str(replayed.rhs) == record.rhs
+        assert original.applicable and original.passed is False
+        record = verify.FailureRecord(trial=0, params=params, result=original, space_text=cc.dump_space(bad))
+        assert verify.replay_failure(record) == record.result
 
     def test_p1_failure_replays_with_its_construction(self):
         spec = cc.TightInstanceSpec(k=1, m=2, m0=2, r=Fraction(1))
@@ -330,17 +326,9 @@ class TestFailureRoundTrip:
         params = cc.ScaleParams(r=spec.r, k=spec.k)
         original = verify.check_proposition(broken, params, "P1", tight=spec)
         assert original.applicable and original.passed is False
-        fields = dict(
-            trial=0,
-            prop_id="P1",
-            k=params.k,
-            r=str(params.r),
-            lhs=str(original.lhs),
-            rhs=str(original.rhs),
-            space_text=cc.dump_space(broken),
-        )
+        fields = dict(trial=0, params=params, result=original, space_text=cc.dump_space(broken))
         record = verify.FailureRecord(**fields, tight=spec)
-        assert verify.replay_failure(record) == original
+        assert verify.replay_failure(record) == record.result
         assert record.to_obj()["tight"] == {"k": 1, "m": 2, "m0": 2, "r": "1"}
         assert "tight" not in verify.FailureRecord(**fields).to_obj()
 
@@ -352,13 +340,11 @@ class TestFailureRoundTrip:
         matrix = [list(row) for row in witness.dist]
         matrix[0][2] = matrix[2][0] = Fraction(2)
         broken = cc.build_space(list(witness.labels), matrix)
-        result = verify.check_proposition(broken, cc.ScaleParams(r=spec.r, k=spec.k), "P1", tight=spec)
+        params = cc.ScaleParams(r=spec.r, k=spec.k)
+        result = verify.check_proposition(broken, params, "P1", tight=spec)
         expected = {"mediumEdges": 1, "anticliquesTop": 4, "anticliquesTopExpected": 4, "gap": 2, "gapExpected": 2}
         assert result.passed is False and dict(result.witness) == expected
-        fields = dict(
-            trial=0, prop_id="P1", k=1, r="1", lhs=str(result.lhs), rhs=str(result.rhs),
-            space_text=cc.dump_space(broken), tight=spec, witness=result.witness,
-        )
+        fields = dict(trial=0, params=params, result=result, space_text=cc.dump_space(broken), tight=spec)
         record = verify.FailureRecord(**fields)
         replayed = verify.replay_failure(record)
         assert replayed == result and hash(replayed) == hash(result)
@@ -368,14 +354,14 @@ class TestFailureRoundTrip:
     @staticmethod
     def _invert(monkeypatch, prop_id):
         # The check with its verdict inverted fails wherever it passes,
-        # keeping its lhs and rhs.
+        # keeping its lhs and rhs; where it does not apply it still does not.
         check = verify._CHECKS[prop_id]
 
         def inverted(cert, tight):
             result = check(cert, tight)
+            passed = None if result.passed is None else not result.passed
             return verify.CheckResult(
-                result.prop_id, result.applicable, not result.passed, result.lhs, result.rhs,
-                note="inverted", witness=result.witness,
+                result.prop_id, passed, result.lhs, result.rhs, note="inverted", witness=result.witness
             )
 
         monkeypatch.setitem(verify._CHECKS, prop_id, inverted)
@@ -390,9 +376,20 @@ class TestFailureRoundTrip:
         for record, entry in zip(report.failures, obj["failures"]):
             assert entry == record.to_obj()
             assert (entry["prop"], entry["note"]) == ("P4", "inverted")
-            replayed = verify.replay_failure(record)
-            assert replayed.passed is False
-            assert (str(replayed.lhs), str(replayed.rhs)) == (entry["lhs"], entry["rhs"])
+            assert verify.replay_failure(record) == record.result
+
+    @pytest.mark.parametrize("prop_id", ["P1", "P4", "T1"])
+    def test_every_suite_failure_replays_to_its_result(self, monkeypatch, clear_memos, prop_id):
+        # Each failure of the inverted check, rebuilt from its record with
+        # empty memos, gives back the very result the suite recorded.
+        self._invert(monkeypatch, prop_id)
+        for seed in (1, 2, 5):
+            report = verify.run_suite(verify.SuiteConfig(seed=seed, trials=40, max_n=12))
+            tally = {t.prop_id: t for t in report.tallies}[prop_id]
+            assert report.failure_count == tally.failed > 0
+            clear_memos()
+            for record in report.failures:
+                assert verify.replay_failure(record) == record.result
 
     def test_suite_failure_keeps_its_witness(self, monkeypatch):
         # What a failing check found reaches its failure record and the
@@ -402,7 +399,7 @@ class TestFailureRoundTrip:
         def failing(cert, tight):
             result = check(cert, tight)
             witness = (("parts", list(cert.decomposition.w)),)
-            return verify.CheckResult("P4", True, False, result.lhs, result.rhs, witness=witness)
+            return verify.CheckResult("P4", False, result.lhs, result.rhs, witness=witness)
 
         monkeypatch.setitem(verify._CHECKS, "P4", failing)
         report = verify.run_suite(verify.SuiteConfig(seed=3, trials=3, max_n=6))
@@ -410,10 +407,10 @@ class TestFailureRoundTrip:
         assert len(report.failures) == len(obj["failures"]) == 3
         for record, entry in zip(report.failures, obj["failures"]):
             space = cc.load_space(record.space_text)
-            params = cc.ScaleParams(r=Fraction(record.r), k=record.k)
-            parts = list(cc.greedy_decomposition(space, params).w)
-            assert dict(record.witness) == entry["witness"] == {"parts": parts}
-        bare = verify.FailureRecord(0, "P4", 1, "1", "0", "0", report.failures[0].space_text)
+            parts = list(cc.greedy_decomposition(space, record.params).w)
+            assert dict(record.result.witness) == entry["witness"] == {"parts": parts}
+        first = report.failures[0]
+        bare = verify.FailureRecord(0, first.params, verify.CheckResult("P4", False, 0, 0), first.space_text)
         assert "witness" not in bare.to_obj()
 
     def test_failure_above_the_default_limit_replays(self, monkeypatch):
@@ -425,9 +422,7 @@ class TestFailureRoundTrip:
         sizes = [cc.load_space(record.space_text).n for record in report.failures]
         assert max(sizes) > clustering.DEFAULT_EXACT_LIMIT
         for record, n in zip(report.failures, sizes):
-            replayed = verify.replay_failure(record)
-            assert replayed.passed is False
-            assert (str(replayed.lhs), str(replayed.rhs)) == (record.lhs, record.rhs)
+            assert verify.replay_failure(record) == record.result
             if n > clustering.DEFAULT_EXACT_LIMIT:
                 assert not verify.replay_failure(record, exact_limit=clustering.DEFAULT_EXACT_LIMIT).applicable
 

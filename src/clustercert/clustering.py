@@ -319,7 +319,7 @@ def exact_structure(
 
     best_measure, best_masks, nodes = -1, (), 0
 
-    def rec(p: int, measure: int, room: tuple[int, ...], masks: tuple[int, ...], shared: int) -> None:
+    def rec(p: int, measure: int, room: list[int], masks: tuple[int, ...], shared: int) -> None:
         # room[c], masks[c]: the points >= p that open cluster c can still take, and its members;
         # shared: the room of every unopened cluster, 0 once all k are open.
         nonlocal best_measure, best_masks, nodes
@@ -337,24 +337,24 @@ def exact_structure(
         for free in room:
             reach |= free
         if reach.bit_count() <= slack or unopened * _color_count(shared, share) + sum(
-            _color_count(free, share) for free in room
+            [_color_count(free, share) for free in room]
         ) <= slack:
             return
         bit = 1 << p
         apart = ~(close[p] | bit)  # what a member p leaves to the other clusters
         for c in range(len(room)):
             if room[c] & bit:
-                rec(p + 1, measure + 1, tuple(
+                rec(p + 1, measure + 1, [
                     free & (share[p] & ~bit if d == c else apart) for d, free in enumerate(room)
-                ), masks[:c] + (masks[c] | bit,) + masks[c + 1:], shared & apart)
+                ], masks[:c] + (masks[c] | bit,) + masks[c + 1:], shared & apart)
         if shared & bit:  # p opens the next cluster
-            rec(p + 1, measure + 1, tuple(free & apart for free in room) + (shared & share[p] & ~bit,),
+            rec(p + 1, measure + 1, [free & apart for free in room] + [shared & share[p] & ~bit],
                 masks + (bit,), shared & apart if unopened > 1 else 0)
-        rec(p + 1, measure, tuple(free & ~bit for free in room), masks, shared & ~bit)
+        rec(p + 1, measure, [free & ~bit for free in room], masks, shared & ~bit)
 
     optimal = True
     try:
-        rec(0, 0, (), (), (1 << n) - 1)
+        rec(0, 0, [], (), (1 << n) - 1)
     except _NodeBudget:
         optimal = False
     opened = tuple(frozenset(_bits(m)) for m in best_masks)  # the clusters never opened are empty

@@ -170,16 +170,21 @@ def random_metric_instance(n: int, r, seed: int) -> FiniteSemimetricSpace:
     The closure runs on integer half-units: it commutes with scaling by
     r/2 > 0, so the int grid becomes the space directly, and only its
     distinct half-unit counts h are turned into the distances r * h / 2.
+    It is Floyd's in-place relaxation: a cell is overwritten only where the
+    path through the via point is shorter. Row and column via stay fixed in
+    their pass, as their diagonal cell is 0, so no pass needs a copy.
     """
     if not _is_int(n) or n < 0:
         raise ValueError(f"point count must be a non-negative integer, got {n!r}")
     r = _positive_scale(r)
     rng = _rng(seed)
     half = _symmetric(n, list(_randints(rng, 10, n * (n - 1) // 2)))
-    for via in range(n):
-        row_via = half[via]
+    for via, row_via in enumerate(half):
         for row in half:
-            row[:] = map(min, row, map(row[via].__add__, row_via))
+            d = row[via]
+            for j, v in enumerate(row_via):
+                if d + v < row[j]:
+                    row[j] = d + v
     return _grid_space([f"p{i}" for i in range(n)], half, (r / 2).__mul__)
 
 

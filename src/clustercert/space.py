@@ -148,11 +148,18 @@ class Record:
         own = cls.__annotations__
         cls._fields = tuple(dict.fromkeys((*cls._fields, *own)))
         cls._defaults = {**cls._defaults, **{key: vars(cls)[key] for key in own if key in vars(cls)}}
+        cls._keys = frozenset(cls._fields)
         cls._get = attrgetter(*cls._fields)  # called as self._get(self): not a method
 
     def __init__(self, *args, **kwargs):
-        values = {**self._defaults, **dict(zip(self._fields, args)), **kwargs}
-        if kwargs or len(values) != len(self._fields) or len(args) > len(self._fields):
+        fields = self._fields
+        values = {**dict(zip(fields, args)), **kwargs}
+        given = len(values)
+        if given < len(fields):
+            values = {**self._defaults, **values}
+        # A surplus value or a repeated field shows in the count given, a missing field in the
+        # count of values, and an unknown keyword, which may hide a missing field, in the key set.
+        if given != len(args) + len(kwargs) or len(values) != len(fields) or kwargs and values.keys() != self._keys:
             self._check(args, kwargs)
         self.__dict__.update(values)
         self.__post_init__()
@@ -273,9 +280,11 @@ class FiniteSemimetricSpace(Record):
         """The ``within`` rows of each (d, strict) in ``thresholds``, whose cuts into
         ``values`` ascend. A row at a time, each cell gets a class byte, the number of
         cuts at or below its rank, and one translate per cut makes the row's bitmask;
-        a row object that several points share is read once."""
+        a row object that several points share is read once. The ranks between two
+        neighbouring cuts share a class, so the byte table is one run per class."""
         cuts = [(bisect_left if strict else bisect_right)(self.values, d) for d, strict in thresholds]
-        byte = bytes(bisect_right(cuts, x) for x in range(len(self.values))).__getitem__
+        edges = [0, *cuts, len(self.values)]
+        byte = b"".join(bytes([c]) * (edges[c + 1] - edges[c]) for c in range(len(cuts) + 1)).__getitem__
         done = {}
         for row in self.ranks:
             if id(row) not in done:

@@ -40,12 +40,14 @@ class ObservedParams(Record):
     anticliques_k_plus_1: int
 
 
-def _pair_count(space: FiniteSemimetricSpace, rows: Sequence[int], points) -> int:
-    """Pairs p < q of the subset (default: all points) with bit q of
-    ``rows[p]`` set, for symmetric ``rows``."""
-    pts = space.points() if points is None else set(points)
-    mask = _mask(pts)
-    return sum(((rows[p] & mask) >> (p + 1)).bit_count() for p in pts)
+def _subset(space: FiniteSemimetricSpace, points) -> tuple[Iterable[int], int]:
+    """The points of the subset (default: all points) and their mask. A pair
+    p < q of it is counted from row p of symmetric rows as bit q of
+    ``(row & mask) >> (p + 1)``."""
+    if points is None:
+        return space.points(), (1 << space.n) - 1
+    pts = set(points)
+    return pts, _mask(pts)
 
 
 def medium_edge_count(space: FiniteSemimetricSpace, r, points: Iterable[int] | None = None) -> int:
@@ -53,13 +55,17 @@ def medium_edge_count(space: FiniteSemimetricSpace, r, points: Iterable[int] | N
     to a point subset. Equals half the ordered-pair measure under the uniform
     counting measure."""
     view = space._scale(r)
-    return _pair_count(space, [reach & ~near for reach, near in zip(view.reach, view.near)], points)
+    reach, near = view.reach, view.near
+    pts, mask = _subset(space, points)
+    return sum([((reach[p] & ~near[p] & mask) >> (p + 1)).bit_count() for p in pts])
 
 
 def long_edge_count(space: FiniteSemimetricSpace, r, points: Iterable[int] | None = None) -> int:
     """Number of unordered pairs at distance above 3r, optionally restricted
     to a point subset."""
-    return _pair_count(space, [~row for row in space._scale(r).reach], points)
+    reach = space._scale(r).reach
+    pts, mask = _subset(space, points)
+    return sum([((mask & ~reach[p]) >> (p + 1)).bit_count() for p in pts])
 
 
 def anticlique_count(space: FiniteSemimetricSpace, r, s: int) -> int:

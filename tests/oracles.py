@@ -52,16 +52,16 @@ PALETTE = [
 ]
 
 
-def medium_edges(space: FiniteSemimetricSpace, r) -> int:
+def medium_edges(space: FiniteSemimetricSpace, r, points=None) -> int:
     r = Fraction(r)
-    return sum(
-        1 for i, j in combinations(space.points(), 2) if r < space.dist[i][j] <= 3 * r
-    )
+    pts = space.points() if points is None else sorted(set(points))
+    return sum(1 for i, j in combinations(pts, 2) if r < space.dist[i][j] <= 3 * r)
 
 
-def long_edges(space: FiniteSemimetricSpace, r) -> int:
+def long_edges(space: FiniteSemimetricSpace, r, points=None) -> int:
     r = Fraction(r)
-    return sum(1 for i, j in combinations(space.points(), 2) if space.dist[i][j] > 3 * r)
+    pts = space.points() if points is None else sorted(set(points))
+    return sum(1 for i, j in combinations(pts, 2) if space.dist[i][j] > 3 * r)
 
 
 def anticliques(space: FiniteSemimetricSpace, r, s: int) -> int:

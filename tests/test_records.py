@@ -4,6 +4,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import clustercert as cc
 from clustercert import bounds, verify
@@ -18,6 +19,10 @@ class Pair(Record):
 class OtherPair(Record):
     a: int
     b: str = "x"
+
+
+class Triple(Pair):
+    c: int = 0
 
 
 class TestConstruction:
@@ -36,24 +41,48 @@ class TestConstruction:
         assert Pair(*args, **kwargs) == Pair(1, "y")
 
     @pytest.mark.parametrize(
-        "args, kwargs, message",
+        "cls, args, kwargs, message",
         [
-            ((), {}, "missing field 'a'"),
-            ((), {"b": "y"}, "missing field 'a'"),
-            ((1,), {"c": 2}, "unknown field 'c'"),
-            ((1,), {"a": 2}, "repeated or unknown field 'a'"),
-            ((1, "y", 3), {}, "takes 2 fields, got 3"),
+            (Pair, (), {}, "missing field 'a'"),
+            (Pair, (), {"b": "y"}, "missing field 'a'"),
+            (Pair, (1,), {"c": 2}, "unknown field 'c'"),
+            (Pair, (1,), {"a": 2}, "repeated or unknown field 'a'"),
+            (Pair, (1, "y", 3), {}, "takes 2 fields, got 3"),
+            (Triple, (1,), {"a": 2}, "repeated or unknown field 'a'"),
+            (Triple, (1, "y"), {"b": "z"}, "repeated or unknown field 'b'"),
+            (Triple, (), {"b": "y", "d": 1}, "unknown field 'd'"),
+            (Triple, (1,), {"d": 1}, "unknown field 'd'"),
         ],
-        ids=["missing", "missing-with-keyword", "unknown", "repeated", "too-many"],
+        ids=[
+            "missing", "missing-with-keyword", "unknown", "repeated", "too-many",
+            "repeated-with-default", "repeated-second", "unknown-and-missing", "unknown-with-defaults",
+        ],
     )
-    def test_bad_fields_raise_type_error(self, args, kwargs, message):
+    def test_bad_fields_raise_type_error(self, cls, args, kwargs, message):
         with pytest.raises(TypeError, match=message):
-            Pair(*args, **kwargs)
+            cls(*args, **kwargs)
+
+    @pytest.mark.parametrize("cls, required", [(Triple, 1), (verify.CheckResult, 4)])
+    @given(data=st.data())
+    def test_any_split_into_position_and_keyword_builds_one_record(self, cls, required, data):
+        count = data.draw(st.integers(required, len(cls._fields)))
+        values = data.draw(st.lists(st.integers(), min_size=count, max_size=count))
+        split = data.draw(st.integers(0, count))
+        keywords = data.draw(st.permutations(list(zip(cls._fields[split:], values[split:]))))
+        assert cls(*values[:split], **dict(keywords)) == cls(*values)
+
+    def test_well_formed_constructions_skip_the_check(self, monkeypatch):
+        # Only a faulty call needs the field-by-field check; a verify run makes none.
+        calls = []
+        check = Record._check
+        monkeypatch.setattr(Record, "_check", lambda self, args, kwargs: calls.append(self) or check(self, args, kwargs))
+        report = verify.run_suite(verify.SuiteConfig(seed=0, trials=60, max_n=14))
+        assert report.failure_count == 0 and calls == []
+        with pytest.raises(TypeError):
+            Pair(1, a=2)
+        assert len(calls) == 1
 
     def test_subclass_extends_the_fields(self):
-        class Triple(Pair):
-            c: int = 0
-
         assert Triple._fields == ("a", "b", "c")
         assert Triple(1, c=2) == Triple(a=1, b="x", c=2) != Pair(1)
 

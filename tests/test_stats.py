@@ -38,6 +38,18 @@ class TestMediumEdgeCount:
         assert cc.medium_edge_count(space, r) == oracles.medium_edges(space, r)
         assert cc.long_edge_count(space, r) == oracles.long_edges(space, r)
 
+    @given(
+        space=oracles.semimetric_spaces(),
+        r=st.sampled_from([Fraction(-1, 2), *oracles.PALETTE]),
+        data=st.data(),
+    )
+    def test_subset_matches_enumeration(self, space, r, data):
+        # Unsorted, with repeats, and passed as a one-shot generator.
+        points = data.draw(st.lists(st.integers(0, space.n - 1), max_size=2 * space.n) if space.n else st.just([]))
+        assert cc.medium_edge_count(space, r, points=iter(points)) == oracles.medium_edges(space, r, points)
+        assert cc.long_edge_count(space, r, points=iter(points)) == oracles.long_edges(space, r, points)
+        assert cc.medium_edge_count(space, r, points=()) == cc.long_edge_count(space, r, points=()) == 0
+
     @pytest.mark.parametrize("r", [Fraction(-1), Fraction(0)])
     def test_non_positive_scale_matches_enumeration(self, s3, r):
         # Every pair is long here, and no point pairs with itself.

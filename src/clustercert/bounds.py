@@ -32,7 +32,8 @@ __all__ = [
     "build_certificate",
 ]
 
-_PRECISION = 40
+_CONTEXT = decimal.Context(prec=40)  # copied by each localcontext, so never changed
+_BUDGET_NOTE = "node budget exhausted; best structure found so far"
 
 
 class BoundInputs(Record):
@@ -106,7 +107,7 @@ class BoundEvaluation(Record):
         if self.penalty is None:
             return None
         k = self.inputs.k
-        with decimal.localcontext(_decimal_context()) as ctx:
+        with decimal.localcontext(_CONTEXT) as ctx:
             root = (2 * k + 1) * _sqrt(self.inputs.delta, ctx)
             return float(Decimal(1) - root - _dec(self.penalty, ctx))
 
@@ -155,10 +156,6 @@ def psi_bound(inputs: BoundInputs) -> BoundEvaluation:
     return BoundEvaluation(inputs, lam, a_prime, ok, None, penalty)
 
 
-def _decimal_context() -> decimal.Context:
-    return decimal.Context(prec=_PRECISION)
-
-
 def _dec(q: Fraction, ctx: decimal.Context) -> Decimal:
     return ctx.divide(Decimal(q.numerator), Decimal(q.denominator))
 
@@ -181,7 +178,7 @@ def legacy_bound(beta, delta, k: int) -> float:
     if beta < 0 or delta < 0:
         raise ValueError("beta and delta must be non-negative")
     _positive_order(k)
-    with decimal.localcontext(_decimal_context()) as ctx:
+    with decimal.localcontext(_CONTEXT) as ctx:
         coeff = k * (ctx.exp(Decimal(1)) + 1) + 1
         value = Decimal(1) - (2 * k + 1) * _sqrt(delta, ctx) - coeff * _nth_root(beta, k + 1, ctx)
         return float(value)
@@ -265,7 +262,7 @@ class BoundCertificate(Record):
         checks P1 and T1 read the exact measure only when this is None."""
         if self.exact is None:
             return clustering._refusal(self.space.n, self.exact_limit)
-        return None if self.exact.optimal else "node budget exhausted; best structure found so far"
+        return None if self.exact.optimal else _BUDGET_NOTE
 
     @cached_property
     def verdicts(self) -> tuple[Verdict, ...]:

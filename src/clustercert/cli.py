@@ -30,9 +30,8 @@ from .space import (
 
 __all__ = ["main", "build_parser"]
 
-# Caps checked before printing: an order-k structure prints k clusters, a written space n^2 cells.
+# Checked before printing: an order-k structure prints k clusters. A written space is capped by generators.
 _MAX_ORDER = 10**6
-_MAX_POINTS = 10_000
 
 
 def _fraction(text: str) -> Fraction:
@@ -206,8 +205,8 @@ def _cmd_generate(args):
             raise SpaceFormatError("planted generator requires --block-sizes")
         sizes = list(spec.block_sizes)
         n, draw = sum(sizes), lambda: generators.planted_instance(spec.k, sizes, spec.noise, spec.r, spec.seed)
-    if n > _MAX_POINTS:
-        raise ValueError(f"generated space exceeds the cap of {_MAX_POINTS} points")
+    if n > generators._MAX_POINTS:
+        raise ValueError(f"generated space exceeds the cap of {generators._MAX_POINTS} points")
     return dump_space(draw())
 
 
@@ -216,10 +215,7 @@ def _cmd_discretize(args):
         args.input, generators.weighted_space_from_obj, generators.load_weighted_space
     )
     partition = generators.epsilon_partition(weighted, args.eps)
-    space = generators.uniformize(
-        weighted, partition, args.eps, max_total_multiplicity=_MAX_POINTS
-    )
-    return dump_space(space)
+    return dump_space(generators.uniformize(weighted, partition, args.eps))
 
 
 def _cmd_verify(args):

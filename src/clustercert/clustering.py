@@ -299,11 +299,11 @@ def exact_structure(
     is a clique of the 2r graph inside its room, so at most the colours of a
     greedy colouring of it, the shared room's counted once per unopened
     cluster, and all clusters together gain at most the union of the rooms.
-    A node is pruned when the measure plus the unassigned points, or plus
-    the smaller of those two gains, cannot beat the incumbent. Only strictly
-    better assignments replace it, so the witness is the first optimum in
-    lexicographic assignment order whatever the bound. ``nodes_explored``
-    counts the assignment prefixes visited, pruned ones included.
+    A node is pruned when the measure plus the smaller of those two gains
+    cannot beat the incumbent. Only strictly better assignments replace it,
+    so the witness is the first optimum in lexicographic assignment order
+    whatever the bound. ``nodes_explored`` counts the assignment prefixes
+    visited, pruned ones included.
 
     An exhausted ``node_budget`` returns the best structure found so far,
     flagged non-optimal. Instances larger than ``max_points`` are refused.
@@ -331,8 +331,6 @@ def exact_structure(
                 best_measure, best_masks = measure, masks
             return
         slack = best_measure - measure
-        if n - p <= slack:
-            return
         reach, unopened = shared, k - len(room)
         for free in room:
             reach |= free

@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _RESOLUTION = 1000  # granularity of randomly drawn distances, in units of r
+_MAX_POINTS = 10_000  # the largest space uniformize builds or the CLI writes: n^2 cells
 
 
 class TightInstanceSpec(Record):
@@ -250,13 +251,7 @@ def epsilon_partition(w: WeightedFiniteSpace, eps) -> tuple[tuple[int, ...], ...
     return tuple(parts)
 
 
-def uniformize(
-    w: WeightedFiniteSpace,
-    partition: Sequence[Sequence[int]],
-    eps,
-    *,
-    max_total_multiplicity: int = 100_000,
-) -> FiniteSemimetricSpace:
+def uniformize(w: WeightedFiniteSpace, partition: Sequence[Sequence[int]], eps) -> FiniteSemimetricSpace:
     """Collapse a weighted space onto a uniform-measure multiplicity space.
 
     Each part A_i gets a rational weight q_i with mu(A_i) >= q_i >=
@@ -264,6 +259,8 @@ def uniformize(
     of ten that satisfies the floor for every part. Parts become blocks of
     q_i-proportional multiplicity (common denominator, reduced by gcd) at
     mutual distance set_distance(A_i, A_j), with distance 0 inside a block.
+    A space of more than ``_MAX_POINTS`` (10,000) points is refused before it
+    is built, since the build takes time quadratic in its size.
     """
     eps = as_fraction(eps)
     if not 0 < eps < 1:
@@ -283,10 +280,10 @@ def uniformize(
     g = math.gcd(*numerators)
     multiplicities = [a // g for a in numerators]
     total = sum(multiplicities)
-    if total > max_total_multiplicity:
+    if total > _MAX_POINTS:
         # Python refuses str() of an int beyond its digit limit (at least 640 digits).
         needs = total if total.bit_length() <= 2000 else f"more than 10^{(total.bit_length() - 1) * 3 // 10}"
-        raise ValueError(f"uniformized space needs {needs} points, above the cap of {max_total_multiplicity}")
+        raise ValueError(f"uniformized space needs {needs} points, above the cap of {_MAX_POINTS}")
 
     # Base ranks: the least across two parts, and rank 0 (distance 0) inside one.
     cross = [[0] * len(parts) for _ in parts]

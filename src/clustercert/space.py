@@ -396,9 +396,8 @@ def _ranked_space(labels, firsts: dict, rows: list) -> FiniteSemimetricSpace:
     perm = dict(zip(firsts, map(place.__getitem__, ratios)))
     for i, row in enumerate(rows):  # in place: one table of ids or ranks at a time
         rows[i] = tuple(map(perm.__getitem__, row))
-    if values and not values[0] and sum(row.count(0) for row in rows) > n:
-        rows = list(map({}.setdefault, rows, rows))  # rows i and j can be equal only if rho(i, j) = 0
-    return _checked_space(labels, values, tuple(rows))
+    # Equal rows become one object; rows i and j can be equal only if rho(i, j) = 0.
+    return _checked_space(labels, values, tuple(map({}.setdefault, rows, rows)))
 
 
 def _grid_space(labels, grid, value) -> FiniteSemimetricSpace:
@@ -434,8 +433,12 @@ def _checked_space(labels, values, ranks) -> FiniteSemimetricSpace:
 
 def subset_diameter(space: FiniteSemimetricSpace, points: Iterable[int]) -> Fraction:
     """Largest pairwise distance within the subset; 0 for empty or singleton
-    subsets, so the empty set is a valid cluster at every scale."""
+    subsets, so the empty set is a valid cluster at every scale. A point
+    outside the space is an error."""
     pts = sorted(set(points))
+    for p in pts[:1] + pts[-1:]:
+        if not 0 <= p < space.n:
+            raise ValueError(f"point {p} is outside the space of {space.n} points")
     ranks = space.ranks
     best = max((ranks[a][b] for i, a in enumerate(pts) for b in pts[i + 1 :]), default=None)
     return Fraction(0) if best is None else space.values[best]
@@ -443,11 +446,14 @@ def subset_diameter(space: FiniteSemimetricSpace, points: Iterable[int]) -> Frac
 
 def set_distance(space: FiniteSemimetricSpace, a: Iterable[int], b: Iterable[int]) -> Fraction:
     """Minimum distance over pairs from a x b; 0 whenever the sets share a
-    point. Empty operands are an error."""
+    point. Empty operands and points outside the space are errors."""
     pa = sorted(set(a))
     pb = sorted(set(b))
     if not pa or not pb:
         raise ValueError("set distance is undefined for an empty set")
+    for p in (pa[0], pa[-1], pb[0], pb[-1]):
+        if not 0 <= p < space.n:
+            raise ValueError(f"point {p} is outside the space of {space.n} points")
     return space.values[min(space.ranks[u][v] for u in pa for v in pb)]
 
 

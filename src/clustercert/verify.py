@@ -322,8 +322,6 @@ class VerificationReport(Record):
 def _random_composition(rng: random.Random, total: int, parts: int) -> list[int]:
     """Split ``total`` into ``parts`` positive integers, uniformly over cut
     positions."""
-    if parts == 1:
-        return [total]
     cuts = sorted(rng.sample(range(1, total), parts - 1))
     edges = [0] + cuts + [total]
     return [edges[i + 1] - edges[i] for i in range(parts)]
@@ -373,7 +371,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                 node_budget=config.node_budget,
             )
             if not result.applicable:
-                if "budget" in result.note:
+                if result.note == bounds._BUDGET_NOTE:
                     notes.append(f"trial {trial}: {prop_id}: {result.note}")
                 continue
             if result.passed:

@@ -5,11 +5,12 @@ import sys
 import time
 from inspect import ismodule
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import clustercert as cc
-from clustercert import cli
+from clustercert import cli, generators
 from clustercert.cli import build_parser, main
 
 
@@ -281,18 +282,18 @@ class TestDiscretize:
             outs.append(out)
         assert outs[0] == outs[1]
 
-    def test_the_point_cap_is_shared_with_generate(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_MAX_POINTS", 3)
+    def test_the_point_cap_is_shared_with_generate(self, capsys, tmp_path):
         path = tmp_path / "two.weighted"
         argv = ["discretize", "--input", str(path), "--eps", "1/2"]
-        path.write_text("2\na b\n0 3\n3 0\n1 2\n", encoding="utf-8")
-        code, out, _ = _run(capsys, *argv)
-        assert code == 0 and cc.load_space(out).n == 3
-        path.write_text("2\na b\n0 3\n3 0\n1 3\n", encoding="utf-8")
-        assert _run(capsys, *argv) == (1, "", "error: uniformized space needs 4 points, above the cap of 3\n")
         tight = ["generate", "--kind", "tight", "--k", "1", "--m", "2", "--m0", "2", "--r", "1"]
-        assert _run(capsys, *tight) == (1, "", "error: generated space exceeds the cap of 3 points\n")
-        code, out, err = _run(capsys, *argv, "--max-multiplicity", "5")
+        with mock.patch.object(generators, "_MAX_POINTS", 3):
+            path.write_text("2\na b\n0 3\n3 0\n1 2\n", encoding="utf-8")
+            code, out, _ = _run(capsys, *argv)
+            assert code == 0 and cc.load_space(out).n == 3
+            path.write_text("2\na b\n0 3\n3 0\n1 3\n", encoding="utf-8")
+            assert _run(capsys, *argv) == (1, "", "error: uniformized space needs 4 points, above the cap of 3\n")
+            assert _run(capsys, *tight) == (1, "", "error: generated space exceeds the cap of 3 points\n")
+            code, out, err = _run(capsys, *argv, "--max-multiplicity", "5")
         assert code == 1 and not out
         assert "error: unrecognized arguments: --max-multiplicity 5" in err
 

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 import clustercert as cc
-from clustercert import verify
+from clustercert import generators, verify
 from clustercert.generators import load_weighted_space, dump_weighted_space
 from clustercert.space import SpaceFormatError
 
@@ -207,11 +208,12 @@ class TestGeneratorEquivalence:
         try:  # a small cap keeps the reference's n^2 parsed cells cheap
             old = oracles.reference_uniformize(w, partition, eps, max_total_multiplicity=300)
         except ValueError as exc:
-            with pytest.raises(ValueError) as caught:
-                cc.uniformize(w, partition, eps, max_total_multiplicity=300)
+            with mock.patch.object(generators, "_MAX_POINTS", 300), pytest.raises(ValueError) as caught:
+                cc.uniformize(w, partition, eps)
             assert str(caught.value) == str(exc)
         else:
-            assert_same_space(cc.uniformize(w, partition, eps, max_total_multiplicity=300), old)
+            with mock.patch.object(generators, "_MAX_POINTS", 300):
+                assert_same_space(cc.uniformize(w, partition, eps), old)
 
 
 class TestDraws:
@@ -330,9 +332,19 @@ class TestUniformize:
 
     def test_multiplicity_cap_is_inclusive(self):
         w = _weighted([(0,), (10,)], [1, 1])
-        assert cc.uniformize(w, ((0,), (1,)), Fraction(1, 10), max_total_multiplicity=2).n == 2
-        with pytest.raises(ValueError, match="needs 2 points, above the cap of 1"):
-            cc.uniformize(w, ((0,), (1,)), Fraction(1, 10), max_total_multiplicity=1)
+        with mock.patch.object(generators, "_MAX_POINTS", 2):
+            assert cc.uniformize(w, ((0,), (1,)), Fraction(1, 10)).n == 2
+        with mock.patch.object(generators, "_MAX_POINTS", 1):
+            with pytest.raises(ValueError, match="needs 2 points, above the cap of 1"):
+                cc.uniformize(w, ((0,), (1,)), Fraction(1, 10))
+
+    def test_the_cap_is_ten_thousand_points(self):
+        # The gcd of the two weights is 1, so the blocks keep them as multiplicities.
+        accepted = _weighted([(0,), (10,)], [4999, 5001])
+        assert cc.uniformize(accepted, ((0,), (1,)), Fraction(1, 10)).n == 10_000
+        refused = _weighted([(0,), (10,)], [5000, 5001])
+        with pytest.raises(ValueError, match="^uniformized space needs 10001 points, above the cap of 10000$"):
+            cc.uniformize(refused, ((0,), (1,)), Fraction(1, 10))
 
     def test_truncation_stops_where_q_equals_the_floor(self):
         # At one decimal 0.55 truncates to 0.5 = (1 - 1/11) * 0.55 exactly, which
@@ -343,8 +355,8 @@ class TestUniformize:
 
     def test_multiplicity_cap(self):
         w = _weighted([(0,), (10,)], [Fraction(1, 3), 1])
-        with pytest.raises(ValueError, match="cap"):
-            cc.uniformize(w, ((0,), (1,)), Fraction(1, 1000), max_total_multiplicity=100)
+        with mock.patch.object(generators, "_MAX_POINTS", 100), pytest.raises(ValueError, match="cap"):
+            cc.uniformize(w, ((0,), (1,)), Fraction(1, 1000))
 
     @pytest.mark.parametrize("eps", [0, 1])
     def test_eps_outside_open_unit_interval_rejected(self, eps):

@@ -344,6 +344,11 @@ class TestSubsetDiameter:
         assert cc.subset_diameter(s3, [0, 1, 2]) == 4
         assert cc.subset_diameter(s3, []) == 0
 
+    @pytest.mark.parametrize("points, bad", [([-1], -1), ([3], 3), ([-1, 0], -1), ([0, 1, 3], 3), ([-2, 1, 3], -2)])
+    def test_point_outside_the_space_rejected(self, s3, points, bad):
+        with pytest.raises(ValueError, match=f"^point {bad} is outside the space of 3 points$"):
+            cc.subset_diameter(s3, points)
+
     @given(space=oracles.semimetric_spaces(min_n=1), data=st.data())
     def test_monotone_under_inclusion(self, space, data):
         subset = data.draw(st.sets(st.integers(0, space.n - 1)))
@@ -359,6 +364,14 @@ class TestSetDistance:
     def test_empty_operand_rejected(self, s3):
         with pytest.raises(ValueError, match="empty"):
             cc.set_distance(s3, [], [0])
+
+    @pytest.mark.parametrize(
+        "a, b, bad",
+        [([-3], [1], -3), ([3], [1], 3), ([0], [-1], -1), ([0], [3], 3), ([0, -1], [1, 2], -1), ([0], [1, 2, 3], 3)],
+    )
+    def test_point_outside_the_space_rejected(self, s3, a, b, bad):
+        with pytest.raises(ValueError, match=f"^point {bad} is outside the space of 3 points$"):
+            cc.set_distance(s3, a, b)
 
     @given(space=oracles.semimetric_spaces(min_n=1), data=st.data())
     def test_symmetric_and_dominated_by_pairs(self, space, data):

@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import bounds, clustering, generators, verify
 from .serialize import write_report
 from .space import (
+    DEFAULT_EXACT_LIMIT,
     ScaleParams,
     SpaceFormatError,
     _is_int,
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--k", type=int, required=True, help="structure order k")
     output.add_argument("--output", help="write result here instead of stdout")
     fmt.add_argument("--format", choices=("json", "text"), default="json")
-    limit.add_argument("--exact-limit", type=int, default=clustering.DEFAULT_EXACT_LIMIT)
+    limit.add_argument("--exact-limit", type=int, default=DEFAULT_EXACT_LIMIT)
 
     sub.add_parser("analyze", parents=[scale, output, fmt, limit], help="full bound certificate")
     sub.add_parser("greedy", parents=[scale, output, fmt], help="greedy decomposition dump")
@@ -219,6 +220,13 @@ def _cmd_discretize(args):
 
 
 def _cmd_verify(args):
+    # Checked here as well as by SuiteConfig, whose messages name its fields, not the flags.
+    checks = (("--trials", args.trials, 0), ("--max-n", args.max_n, 1), ("--k-range", min(args.k_range), 1))
+    for flag, value, least in checks:
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+    if args.max_n > args.exact_limit:
+        raise ValueError(f"--max-n {args.max_n} exceeds --exact-limit {args.exact_limit}")
     config = verify.SuiteConfig(
         seed=args.seed,
         trials=args.trials,
@@ -263,7 +271,7 @@ def main(argv=None) -> int:
     except (ValueError, clustering.SearchLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2 if isinstance(result, verify.VerificationReport) and result.failure_count else 0
+    return 2 if args.command == "verify" and result.failure_count else 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, compress
 
 from . import stats
-from .space import FiniteSemimetricSpace, Record, ScaleParams, _bits, _mask, _positive_order, as_fraction
+from .space import DEFAULT_EXACT_LIMIT, FiniteSemimetricSpace, Record, ScaleParams, _bits, _mask, _positive_order, as_fraction
 
 __all__ = [
     "SearchLimitError",
@@ -35,8 +35,6 @@ __all__ = [
     "exact_structure",
     "validate_structure",
 ]
-
-DEFAULT_EXACT_LIMIT = 14
 
 
 class SearchLimitError(RuntimeError):

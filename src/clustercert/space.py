@@ -43,6 +43,8 @@ __all__ = [
     "space_from_obj",
 ]
 
+# The exact search's default point limit: here, so the CLI's parser does not run clustering.
+DEFAULT_EXACT_LIMIT = 14
 # At most 600 digits in all: under any limit Python sets on reading an int from text (>= 640).
 _PLAIN_DECIMAL = re.compile(r"[0-9]{1,300}(?:\.[0-9]{1,300})?")
 # Fraction computes 10**exponent before anything else, so a larger exponent is refused

@@ -29,12 +29,101 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert out.strip() == "[]"
 
 
+# The layers a fresh `python -S` process holds, and those that have run after `import
+# clustercert.cli` and after the command. A layer binds __all__ when its code runs; reading
+# it from the module's own __dict__ runs nothing.
+_LAYERS_RUN = """
+import contextlib, io, json, sys
+import clustercert.cli as cli
+def ran():
+    return sorted(k[12:] for k, m in sys.modules.items()
+                  if k.startswith("clustercert.") and "__all__" in object.__getattribute__(m, "__dict__"))
+held, imported = sorted(k[12:] for k in sys.modules if k.startswith("clustercert.")), ran()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+heavy = {"dataclasses", "inspect", "pathlib", "typing"} & set(sys.modules)
+print(json.dumps([held, imported, code, ran(), sorted(heavy)]))
+"""
+_ALL_LAYERS = ["bounds", "cli", "clustering", "generators", "serialize", "space", "stats", "verify"]
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["analyze", "--input", "{s3}", "--r", "1", "--k", "2"],
+         ["bounds", "cli", "clustering", "serialize", "space", "stats"]),
+        (["discretize", "--input", "{weighted}", "--eps", "1/2"], ["cli", "generators", "serialize", "space"]),
+        (["generate", "--kind", "planted", "--k", "2", "--block-sizes", "3,3", "--r", "1"],
+         ["cli", "generators", "serialize", "space"]),
+        (["verify", "--trials", "3"], _ALL_LAYERS),
+    ],
+    ids=["analyze", "discretize", "generate", "verify"],
+)
+def test_each_command_runs_only_the_layers_it_uses(tmp_path, s3_file, argv, layers):
+    weighted = tmp_path / "two.weighted"
+    weighted.write_text("2\na b\n0 3\n3 0\n1 1\n", encoding="utf-8")
+    argv = [arg.format(s3=s3_file, weighted=weighted) for arg in argv]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _LAYERS_RUN, *argv],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    held, imported, code, ran, heavy = json.loads(out)
+    # The benchmark tracer reads every layer from sys.modules right after importing the CLI.
+    assert held == _ALL_LAYERS
+    assert imported == ["cli", "serialize", "space"]
+    assert code == 0 and ran == layers and heavy == []
+
+
+_FIRST_READS = """
+import json, sys, threading, types
+sys.setswitchinterval(1e-6)
+import clustercert
+bounds, names = clustercert.bounds, sys.argv[1:]
+unrun = "__all__" not in object.__getattribute__(bounds, "__dict__")
+barrier = threading.Barrier(len(names))
+got, errors = {}, []
+def read(name):
+    barrier.wait()
+    try:
+        got[name] = getattr(bounds, name)
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=read, args=(name,)) for name in names]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=30)
+print(json.dumps({
+    "unrun": unrun, "alive": sum(t.is_alive() for t in threads), "errors": errors,
+    "same": all(got.get(name) is getattr(bounds, name) for name in names),
+    "plain": type(bounds) is types.ModuleType,
+}))
+"""
+
+
+def test_first_read_of_a_layer_is_thread_safe():
+    # Eight threads read eight names of a layer that has not run, at once. A module made
+    # plain before its code has run (importlib.util.LazyLoader up to CPython 3.12) hands the
+    # other threads the half-built module, and most of them raise AttributeError.
+    names = cc.bounds.__all__[-8:]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", _FIRST_READS, *names],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert json.loads(out) == {"unrun": True, "alive": 0, "errors": [], "same": True, "plain": True}
+
+
 def test_package_exports_the_union_of_the_module_lists():
     modules = ("bounds", "clustering", "generators", "serialize", "space", "stats", "verify")
     names = set().union(*(getattr(cc, m).__all__ for m in modules))
-    public = {n for n, v in vars(cc).items() if not n.startswith("_") and not ismodule(v)}
-    assert public == names
-    assert all(getattr(cc, n) is getattr(getattr(cc, m), n)
+    public = {n for n in dir(cc) if not n.startswith("_") and not ismodule(getattr(cc, n))}
+    assert public == names == set(cc.__all__) and len(cc.__all__) == len(names)
+    star = {}
+    exec("from clustercert import *", star)
+    assert star.keys() - {"__builtins__"} == names
+    assert all(getattr(cc, n) is getattr(getattr(cc, m), n) is star[n]
                for m in modules for n in getattr(cc, m).__all__)
 
 
@@ -690,6 +779,20 @@ class TestOptionValues:
         assert code == 1 and not out
         errors = [line for line in err.splitlines() if "error:" in line]
         assert errors == [f"clustercert {argv[0]}: error: argument {argv[-2]}: expected integers, got {argv[-1]!r}"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trials", "-1"], "--trials must be at least 0, got -1"),
+            (["--max-n", "0"], "--max-n must be at least 1, got 0"),
+            (["--max-n", "15"], "--max-n 15 exceeds --exact-limit 14"),
+            (["--max-n", "20", "--exact-limit", "19"], "--max-n 20 exceeds --exact-limit 19"),
+            (["--k-range", "1,0,2"], "--k-range must be at least 1, got 0"),
+        ],
+        ids=["trials", "max-n", "max-n-default-limit", "max-n-limit", "k-range"],
+    )
+    def test_verify_errors_name_the_flags(self, capsys, flags, message):
+        assert _run(capsys, "verify", *flags) == (1, "", f"error: {message}\n")
 
     def test_the_order_cap_is_inclusive(self, capsys, s3_file, monkeypatch):
         monkeypatch.setattr(cli, "_MAX_ORDER", 5)

@@ -268,7 +268,7 @@ def main(argv=None) -> int:
         else:
             result = command(args)
         _emit(result if isinstance(result, str) else write_report(result, fmt=args.format), args.output)
-    except (ValueError, clustering.SearchLimitError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # SearchLimitError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2 if args.command == "verify" and result.failure_count else 0

@@ -37,8 +37,8 @@ __all__ = [
 ]
 
 
-class SearchLimitError(RuntimeError):
-    """Exact search rejected up front: the instance exceeds the point limit."""
+class SearchLimitError(ValueError):
+    """Exact search refused up front, a ValueError: the instance exceeds the point limit."""
 
 
 def _refusal(n: int, max_points: int) -> str | None:

@@ -8,8 +8,8 @@ once into the values and then compares ranks, so it is decided exactly.
 canonical lossless input form; binary floats are converted bit-exactly, never
 rounded through a repr round trip. A table is read straight to ranks: each
 row becomes first-seen ids as it is read (strings keyed by text, other cells
-by identity), each distinct cell is parsed once (a plain decimal such as 0.25
-from its digits), one sort ranks the values, and rows are checked against columns.
+by identity), each distinct cell is parsed once, one sort ranks the values, and
+rows are checked against columns.
 Generated tables skip parsing: ``_grid_space`` ranks a symmetric int grid
 through its sorted distinct ints and maps only those to Fractions.
 
@@ -45,12 +45,15 @@ __all__ = [
 
 # The exact search's default point limit: here, so the CLI's parser does not run clustering.
 DEFAULT_EXACT_LIMIT = 14
-# At most 600 digits in all: under any limit Python sets on reading an int from text (>= 640).
-_PLAIN_DECIMAL = re.compile(r"[0-9]{1,300}(?:\.[0-9]{1,300})?")
-# Fraction computes 10**exponent before anything else, so a larger exponent is refused
-# first. 4300 is Python's default digit limit for reading an int from text.
+# CPython 3.13's Fraction grammar: whitespace and a sign, then digit groups joined by single "_"
+# ("\d" is any Unicode digit, which int() reads), then "/" and a denominator, or an optional
+# ".fraction" and "e" exponent. Groups: sign, whole, denominator, fraction, exponent. An exponent
+# beyond 4300, Python's default digit limit for reading an int from text, is refused before 10**exponent.
+_RATIONAL = re.compile(
+    r"\s*([-+]?)(?=\.?\d)(\d*|\d+(?:_\d+)*)"
+    r"(?:\s*/\s*(\d+(?:_\d+)*)|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*"
+)
 _MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 class SpaceFormatError(ValueError):
@@ -60,32 +63,46 @@ class SpaceFormatError(ValueError):
 def as_fraction(value) -> Fraction:
     """Convert a distance-like value to an exact ``Fraction``.
 
-    Strings may be in decimal ("0.25") or ratio ("1/3") form and are parsed
-    exactly. Floats are converted from their exact binary value, so text is
+    A string is read by one grammar, the same on every supported Python:
+    optional surrounding whitespace and sign, then a ratio ("1/3", "1 / 3")
+    or a decimal with an optional fraction part and exponent ("0.25", ".5",
+    "5.", "2.5e-3"). Digits may be grouped by single underscores ("1_000")
+    and may be any Unicode decimal digits ("٣"). A Decimal is read as its
+    string. Floats are converted from their exact binary value, so text is
     the safe path for values like 0.1 that have no finite binary expansion.
     A decimal exponent beyond 4300 in magnitude is refused with ValueError.
     Booleans are not numbers here: they raise TypeError.
     """
-    if isinstance(value, Fraction):
-        return value
-    if _is_int(value):
-        return Fraction(value)
-    if isinstance(value, decimal.Decimal):
-        value = str(value)  # exact, and held to the same exponent rule
-    if isinstance(value, str):
-        exponent = _EXPONENT.search(value)
-        if exponent and (len(exponent[1]) > _MAX_EXPONENT or abs(int(exponent[1])) > _MAX_EXPONENT):
-            raise ValueError(f"exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational number: {value!r}") from exc
-    if isinstance(value, float):
-        try:
+    if not isinstance(value, str):
+        if isinstance(value, Fraction):
+            return value
+        if _is_int(value):
             return Fraction(value)
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"not a finite number: {value!r}") from exc
-    raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
+        if isinstance(value, float):
+            try:
+                return Fraction(value)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"not a finite number: {value!r}") from exc
+        if not isinstance(value, decimal.Decimal):
+            raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
+        value = str(value)  # exact, and held to the same grammar
+    match = _RATIONAL.fullmatch(value)
+    if match is None:
+        raise ValueError(f"not a rational number: {value!r}")
+    sign, whole, den, frac, exp = match.groups()
+    if exp and (len(exp) > _MAX_EXPONENT or abs(int(exp)) > _MAX_EXPONENT):
+        raise ValueError(f"exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
+    try:  # int() reads the "_" separators; it refuses more digits than Python's limit
+        num, den = int(whole) if whole else 0, int(den) if den else 1
+        if frac:  # "5." has an empty fraction part
+            den = 10 ** len(frac.replace("_", ""))
+            num = num * den + int(frac)
+        if exp:
+            shift = int(exp)
+            num, den = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
+        return Fraction(-num if sign == "-" else num, den)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational number: {value!r}") from exc
 
 
 def format_rational(q: Fraction) -> str:
@@ -95,7 +112,7 @@ def format_rational(q: Fraction) -> str:
     :func:`as_fraction`, which keeps space files exact for denominators that
     are not powers of ten (e.g. distances produced by discretization).
     """
-    num, den = (q if isinstance(q, Fraction) else Fraction(q)).as_integer_ratio()
+    num, den = as_fraction(q).as_integer_ratio()
     if den == 1:
         return str(num)
     twos = (den & -den).bit_length() - 1
@@ -361,21 +378,12 @@ def _checked_labels(labels: Sequence) -> tuple[str, ...]:
     return labels
 
 
-def _parse_cell(cell) -> Fraction:
-    """``as_fraction(cell)``; a plain ASCII decimal such as "12" or "0.25" is
-    read straight from its digits into the Fraction its text denotes."""
-    if cell.__class__ is not str or not _PLAIN_DECIMAL.fullmatch(cell):
-        return as_fraction(cell)
-    whole, _, frac = cell.partition(".")
-    return Fraction(int(whole + frac), 10 ** len(frac))
-
-
 def _reject_cells(firsts: dict, n: int) -> None:
     """Raise for the first bad or negative cell, row-major, of those in ``firsts``."""
     for first, cell in firsts.items():
         i, j = divmod(first, n)
         try:
-            q = _parse_cell(cell)
+            q = as_fraction(cell)
         except (ValueError, TypeError) as exc:
             raise SpaceFormatError(f"bad distance at ({i},{j}): {exc}") from exc
         if q < 0:
@@ -387,7 +395,7 @@ def _ranked_space(labels, firsts: dict, rows: list) -> FiniteSemimetricSpace:
     flat index i*n + j of each distinct cell's first occurrence to that cell."""
     n = len(labels)
     try:
-        parsed = list(map(_parse_cell, firsts.values()))
+        parsed = list(map(as_fraction, firsts.values()))
     except (ValueError, TypeError):
         _reject_cells(firsts, n)  # names the first bad or negative cell
         raise

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
@@ -408,8 +409,25 @@ def multiplicity_spaces(draw, max_n: int = 7, max_copies: int = 3):
 
 # ---------------------------------------------------------------------------
 # The text and table parsers before tables were parsed straight to ranks,
-# kept verbatim as the reference for the current ones.
+# kept verbatim as the reference for the current ones, apart from reading
+# string cells with ``reference_as_fraction``.
 # ---------------------------------------------------------------------------
+
+def reference_as_fraction(text: str) -> Fraction:
+    """``space.as_fraction`` of a string, read by ``fractions.Fraction`` once the text
+    is in the form that every supported Python's ``Fraction`` reads alike: stripped,
+    with no whitespace around "/" and no "_" between two digits."""
+    plain = re.sub(r"(?<=\d)_(?=\d)", "", re.sub(r"\s*/\s*", "/", text.strip()))
+    exponent = re.search(r"[eE]([-+]?\d+)\Z", plain)
+    huge = exponent and (len(exponent[1]) > 4300 or abs(int(exponent[1])) > 4300)
+    try:  # a huge exponent is refused only if the text is a number but for it
+        q = Fraction(plain[: exponent.start(1)] + "0" if huge else plain)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational number: {text!r}") from exc
+    if huge:
+        raise ValueError(f"exponent of {text!r} exceeds 4300 in magnitude")
+    return q
+
 
 def reference_build_space(
     labels: Sequence[str],
@@ -449,7 +467,7 @@ def reference_build_space(
             q = tokens.get(value) if isinstance(value, str) else None
             if q is None:
                 try:
-                    q = as_fraction(value)
+                    q = (reference_as_fraction if isinstance(value, str) else as_fraction)(value)
                 except (ValueError, TypeError) as exc:
                     raise SpaceFormatError(f"bad distance at ({i},{j}): {exc}") from exc
                 if q < 0:

@@ -48,18 +48,19 @@ _ALL_LAYERS = ["bounds", "cli", "clustering", "generators", "serialize", "space"
 
 
 @pytest.mark.parametrize(
-    "argv, layers",
+    "argv, exit_code, layers",
     [
-        (["analyze", "--input", "{s3}", "--r", "1", "--k", "2"],
+        (["analyze", "--input", "{s3}", "--r", "1", "--k", "2"], 0,
          ["bounds", "cli", "clustering", "serialize", "space", "stats"]),
-        (["discretize", "--input", "{weighted}", "--eps", "1/2"], ["cli", "generators", "serialize", "space"]),
-        (["generate", "--kind", "planted", "--k", "2", "--block-sizes", "3,3", "--r", "1"],
+        (["discretize", "--input", "{weighted}", "--eps", "1/2"], 0, ["cli", "generators", "serialize", "space"]),
+        (["discretize", "--input", "{weighted}", "--eps", "0"], 1, ["cli", "generators", "serialize", "space"]),
+        (["generate", "--kind", "planted", "--k", "2", "--block-sizes", "3,3", "--r", "1"], 0,
          ["cli", "generators", "serialize", "space"]),
-        (["verify", "--trials", "3"], _ALL_LAYERS),
+        (["verify", "--trials", "3"], 0, _ALL_LAYERS),
     ],
-    ids=["analyze", "discretize", "generate", "verify"],
+    ids=["analyze", "discretize", "discretize-error", "generate", "verify"],
 )
-def test_each_command_runs_only_the_layers_it_uses(tmp_path, s3_file, argv, layers):
+def test_each_command_runs_only_the_layers_it_uses(tmp_path, s3_file, argv, exit_code, layers):
     weighted = tmp_path / "two.weighted"
     weighted.write_text("2\na b\n0 3\n3 0\n1 1\n", encoding="utf-8")
     argv = [arg.format(s3=s3_file, weighted=weighted) for arg in argv]
@@ -72,7 +73,7 @@ def test_each_command_runs_only_the_layers_it_uses(tmp_path, s3_file, argv, laye
     # The benchmark tracer reads every layer from sys.modules right after importing the CLI.
     assert held == _ALL_LAYERS
     assert imported == ["cli", "serialize", "space"]
-    assert code == 0 and ran == layers and heavy == []
+    assert code == exit_code and ran == layers and heavy == []
 
 
 _FIRST_READS = """
@@ -230,6 +231,14 @@ class TestAnalyze:
         code, out, err = _run(capsys, "discretize", "--input", str(path), "--eps", "0.5")
         assert code == 1 and not out
         assert err == "error: uniformized space needs more than 10^4285 points, above the cap of 10000\n"
+
+    def test_spaced_scale_and_grouped_cells(self, capsys, tmp_path):
+        # Read alike on every supported Python: older Fraction parsers refused both.
+        path = tmp_path / "grouped.space"
+        path.write_text("2\na b\n0 1_0/3\n1_0/3 0\n", encoding="utf-8")
+        code, out, err = _run(capsys, "analyze", "--input", str(path), "--r", "1 / 3", "--k", "1")
+        assert code == 0 and not err
+        assert json.loads(out)["r"] == "1/3"
 
     def test_json_object_input(self, capsys, tmp_path, s3):
         path = tmp_path / "s3.json"

@@ -552,6 +552,16 @@ def outcome(parse, *args):
     return space.labels, space.values, space.ranks
 
 
+def outcome_of(parse, token):
+    """The Fraction ``parse`` reads from the token, as an integer ratio, or its ValueError's message."""
+    try:
+        q = parse(token)
+    except ValueError as exc:
+        return str(exc)
+    assert type(q) is Fraction
+    return q.as_integer_ratio()
+
+
 class TestParserEquivalence:
     """``load_space`` and ``build_space`` return the space their verbatim
     predecessors return, or fail with the identical message."""
@@ -593,50 +603,71 @@ class TestParserEquivalence:
 
 
 class TestPlainDecimal:
-    """Plain ASCII decimals skip ``Fraction``'s string parser but give its value."""
+    """Plain decimals and every other spelling are read by ``as_fraction`` alone,
+    to the value their text denotes."""
 
     @given(token=st.from_regex(r"[0-9]{1,40}(\.[0-9]{1,40})?", fullmatch=True))
     def test_equals_the_fraction_parser(self, token):
-        assert cc.space._PLAIN_DECIMAL.fullmatch(token)  # so _parse_cell reads the digits itself
-        q = cc.space._parse_cell(token)
+        q = cc.as_fraction(token)
         assert type(q) is Fraction and q.as_integer_ratio() == Fraction(token).as_integer_ratio()
 
-    @given(token=st.text(st.sampled_from("0123456789.٣３²+-_e/ "), max_size=12))
+    @given(token=st.text(st.sampled_from("0123456789.٣３²+-_eE/ "), max_size=12))
+    @example(token="1/2e9999")
     def test_any_token_reads_as_as_fraction_reads_it(self, token):
-        def read(parse):
-            try:
-                return parse(token).as_integer_ratio()
-            except ValueError as exc:
-                return str(exc)
-
-        assert read(cc.space._parse_cell) == read(cc.as_fraction)
+        assert outcome_of(cc.as_fraction, token) == outcome_of(oracles.reference_as_fraction, token)
 
     @pytest.mark.parametrize("token", ["0", "000", "0.0", "1.50", "9" * 300, "1." + "0" * 299 + "1", "9" * 300 + "." + "9" * 300])
-    def test_accepted_extremes(self, token, monkeypatch):
-        monkeypatch.setattr(cc.space, "as_fraction", self._refuse)
-        assert cc.space._parse_cell(token) == Fraction(token)
+    def test_accepted_extremes(self, token):
+        q = cc.as_fraction(token)
+        assert type(q) is Fraction and q == Fraction(token)
 
-    @pytest.mark.parametrize(
-        "token",
-        ["٣", "١.٥", "３", "1.٥", "²", "1_0", "+1", "1.", ".5", "5e-1", "1/2", " 1", "1 ", "9" * 301, "1." + "0" * 301],
-    )
-    def test_other_spellings_go_to_as_fraction(self, token, monkeypatch):
-        seen = []
-        monkeypatch.setattr(cc.space, "as_fraction", lambda cell: seen.append(cell) or Fraction(7))
-        assert cc.space._parse_cell(token) == Fraction(7) and seen == [token]
+    OTHER_SPELLINGS = [
+        ("٣", Fraction(3)), ("١.٥", Fraction(3, 2)), ("３", Fraction(3)), ("1.٥", Fraction(3, 2)), ("²", None),
+        ("1_0", Fraction(10)), ("+1", Fraction(1)), ("1.", Fraction(1)), (".5", Fraction(1, 2)),
+        ("5e-1", Fraction(1, 2)), ("1/2", Fraction(1, 2)), (" 1", Fraction(1)), ("1 ", Fraction(1)),
+        ("9" * 301, Fraction(10**301 - 1)), ("1." + "0" * 301, Fraction(1)),
+    ]
+
+    @pytest.mark.parametrize("token, expected", OTHER_SPELLINGS, ids=[token for token, _ in OTHER_SPELLINGS])
+    def test_other_spellings_go_to_as_fraction(self, token, expected):
+        if expected is None:
+            with pytest.raises(ValueError, match="^not a rational number: "):
+                cc.as_fraction(token)
+        else:
+            assert cc.as_fraction(token) == expected
 
     def test_long_plain_tokens_keep_the_message(self):
         text = "1\na\n" + "1" * 5000 + "\n"  # beyond Python's default int-from-text limit
         assert outcome(cc.load_space, text) == outcome(oracles.reference_load_space, text)
 
-    @staticmethod
-    def _refuse(cell):
-        raise AssertionError(f"{cell!r} left the plain-decimal path")
+
+class TestGrammar:
+    """Each token that CPython 3.10 to 3.13 read differently with ``fractions.Fraction``
+    has one outcome, whichever of them runs."""
+
+    CASES = [
+        ("1_0", Fraction(10)), ("5e+0_1", Fraction(50)), ("1e1_0", Fraction(10**10)), ("1_0/3", Fraction(10, 3)),
+        ("1/3_0", Fraction(1, 30)), ("1.0_0", Fraction(1)), ("1 / 3", Fraction(1, 3)), ("1/ 3", Fraction(1, 3)),
+        ("1 /3", Fraction(1, 3)),
+        *[(token, None) for token in ["1__0", "_1", "1_", "1.5/2", "1/-3", "1/0", "1/2e99999", "1" * 5000]],
+    ]
+
+    @pytest.mark.parametrize("token, expected", CASES, ids=[t if len(t) < 20 else f"1*{len(t)}" for t, _ in CASES])
+    def test_one_outcome_on_every_python(self, token, expected):
+        if expected is None:
+            with pytest.raises(ValueError) as info:
+                cc.as_fraction(token)
+            assert str(info.value) == f"not a rational number: {token!r}"
+        else:
+            q = cc.as_fraction(token)
+            assert type(q) is Fraction and q == expected
+        for text in (token, f" {token}\t"):
+            assert outcome_of(cc.as_fraction, text) == outcome_of(oracles.reference_as_fraction, text)
 
 
 class TestExponent:
-    """An exponent beyond 4300 in magnitude is refused before ``Fraction`` runs,
-    since ``Fraction`` computes 10**exponent first."""
+    """An exponent beyond 4300 in magnitude is refused before 10**exponent is
+    computed."""
 
     @pytest.mark.parametrize(
         "value, expected",
@@ -657,7 +688,7 @@ class TestExponent:
 
     @pytest.mark.parametrize(
         "value",
-        ["1e4301", "1e-4301", "1E+99999", " 1e-99999 ", "1/2e99999", "1e٩٩٩٩٩", "1e1_0000",
+        ["1e4301", "1e-4301", "1E+99999", " 1e-99999 ", "-.5E+99999", "1e٩٩٩٩٩", "1e1_0000",
          "1e" + "0" * 4300 + "1", "1e" + "9" * 5000, Decimal("1e4301"), Decimal("1e-99999")],
     )
     def test_refused(self, value):
@@ -733,6 +764,8 @@ def test_format_rational(value, expected):
 def test_as_fraction_rejects_booleans(value):
     with pytest.raises(TypeError):
         cc.as_fraction(value)
+    with pytest.raises(TypeError):  # it reads its argument through as_fraction
+        cc.format_rational(value)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import factorial
 
 from . import clustering, stats
@@ -342,11 +342,6 @@ class BoundCertificate(Record):
         }
 
 
-# Keyed on the record's fields in one order, so that every spelling of a
-# build_certificate call shares one record.
-_record = lru_cache(maxsize=512)(BoundCertificate)
-
-
 def build_certificate(
     space: FiniteSemimetricSpace,
     params: ScaleParams,
@@ -358,7 +353,10 @@ def build_certificate(
     parameters, greedy decomposition, exact search (unless ``exact_limit``
     refuses it) and both bounds, each computed on first read.
 
-    Memoized on the immutable inputs, so the certificate and every verify
-    check on one instance share one record and compute each part once.
+    Kept in the space's own memo, keyed by (params, exact_limit, node_budget), so
+    the certificate and every verify check on one space object share one record
+    and compute each part once, and the record goes when the space goes.
     """
-    return _record(space, params, exact_limit, node_budget)
+    memo, key = space._memo, (params, exact_limit, node_budget)
+    # setdefault keeps the first record stored, so threads that race to build one share it.
+    return memo.get(key) or memo.setdefault(key, BoundCertificate(space, *key))

@@ -47,13 +47,14 @@ __all__ = [
 DEFAULT_EXACT_LIMIT = 14
 # CPython 3.13's Fraction grammar: whitespace and a sign, then digit groups joined by single "_"
 # ("\d" is any Unicode digit, which int() reads), then "/" and a denominator, or an optional
-# ".fraction" and "e" exponent. Groups: sign, whole, denominator, fraction, exponent. An exponent
-# beyond 4300, Python's default digit limit for reading an int from text, is refused before 10**exponent.
+# ".fraction" and "e" exponent. Groups: sign, whole, denominator, fraction, exponent. 4300 is Python's
+# default digit limit for reading an int from text: a digit group longer than that ("_" not counted)
+# is refused whatever the process's own limit, and so is an exponent beyond it, before 10**exponent.
 _RATIONAL = re.compile(
     r"\s*([-+]?)(?=\.?\d)(\d*|\d+(?:_\d+)*)"
     r"(?:\s*/\s*(\d+(?:_\d+)*)|(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*"
 )
-_MAX_EXPONENT = 4300
+_MAX_DIGITS = 4300
 
 
 class SpaceFormatError(ValueError):
@@ -70,8 +71,10 @@ def as_fraction(value) -> Fraction:
     and may be any Unicode decimal digits ("٣"). A Decimal is read as its
     string. Floats are converted from their exact binary value, so text is
     the safe path for values like 0.1 that have no finite binary expansion.
-    A decimal exponent beyond 4300 in magnitude is refused with ValueError.
-    Booleans are not numbers here: they raise TypeError.
+    A digit group of more than 4300 digits, or a decimal exponent beyond 4300
+    in magnitude, is refused with ValueError; the message quotes at most the
+    first 40 characters of a token. Booleans are not numbers here: they raise
+    TypeError.
     """
     if not isinstance(value, str):
         if isinstance(value, Fraction):
@@ -87,12 +90,13 @@ def as_fraction(value) -> Fraction:
             raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
         value = str(value)  # exact, and held to the same grammar
     match = _RATIONAL.fullmatch(value)
-    if match is None:
-        raise ValueError(f"not a rational number: {value!r}")
+    long = len(value) > _MAX_DIGITS  # only a longer token can hold a longer digit group
+    if match is None or long and any(g and len(g) - g.count("_") > _MAX_DIGITS for g in match.group(2, 3, 4)):
+        raise ValueError(f"not a rational number: {_quoted(value)}")
     sign, whole, den, frac, exp = match.groups()
-    if exp and (len(exp) > _MAX_EXPONENT or abs(int(exp)) > _MAX_EXPONENT):
-        raise ValueError(f"exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
-    try:  # int() reads the "_" separators; it refuses more digits than Python's limit
+    if exp and (len(exp) > _MAX_DIGITS or abs(int(exp)) > _MAX_DIGITS):
+        raise ValueError(f"exponent of {_quoted(value)} exceeds {_MAX_DIGITS} in magnitude")
+    try:  # int() reads the "_" separators; a process limit below 4300 digits may still refuse a group
         num, den = int(whole) if whole else 0, int(den) if den else 1
         if frac:  # "5." has an empty fraction part
             den = 10 ** len(frac.replace("_", ""))
@@ -102,7 +106,12 @@ def as_fraction(value) -> Fraction:
             num, den = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
         return Fraction(-num if sign == "-" else num, den)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {value!r}") from exc
+        raise ValueError(f"not a rational number: {_quoted(value)}") from exc
+
+
+def _quoted(token: str) -> str:
+    """A token as a message quotes it: whole up to 40 characters, else its first 40 and its length."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
 
 
 def format_rational(q: Fraction) -> str:
@@ -255,6 +264,10 @@ class FiniteSemimetricSpace(Record):
     values: tuple[Fraction, ...]
     ranks: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        # Scale views keyed by (numerator, denominator) of r, analysis records by their fields.
+        self.__dict__["_memo"] = {}
+
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -289,11 +302,11 @@ class FiniteSemimetricSpace(Record):
     def _scale(self, r) -> _Scale:
         """The ``within`` rows at r (strict and closed), 2r and 3r, memoized on the
         instance per (numerator, denominator) of r."""
-        r, views = as_fraction(r), self._views
+        r, memo = as_fraction(r), self._memo
         key = r.numerator, r.denominator
-        if key not in views:  # distances are non-negative, so the cuts ascend even for r <= 0
-            views[key] = _Scale(*self._threshold_rows([(r, True), (r, False), (2 * r, False), (3 * r, False)]))
-        return views[key]
+        if key not in memo:  # distances are non-negative, so the cuts ascend even for r <= 0
+            memo[key] = _Scale(*self._threshold_rows([(r, True), (r, False), (2 * r, False), (3 * r, False)]))
+        return memo[key]
 
     def _threshold_rows(self, thresholds) -> list[tuple[int, ...]]:
         """The ``within`` rows of each (d, strict) in ``thresholds``, whose cuts into
@@ -310,10 +323,6 @@ class FiniteSemimetricSpace(Record):
                 line = bytes(map(byte, reversed(row)))  # bit q is the last-but-q byte
                 done[id(row)] = [int(line.translate(table), 2) for table in _CLASS_BITS[: len(cuts)]]
         return list(zip(*[done[id(row)] for row in self.ranks])) or [()] * len(cuts)
-
-    @cached_property
-    def _views(self) -> dict:
-        return {}
 
     def __hash__(self) -> int:
         # Equal spaces have equal ranks, so ``values`` can stay out of the hash.

@@ -16,22 +16,21 @@ settings.register_profile("thorough", settings.get_profile("suite"), max_example
 settings.load_profile("suite")
 
 
-def _clear_memos():
-    cc.bounds._record.cache_clear()
-    cc.clustering.exact_structure.cache_clear()
-
-
 @pytest.fixture(autouse=True)
 def clear_memos():
-    """Start every test with empty analysis memos.
+    """Start every test with an empty ``clustering.exact_structure`` memo.
 
-    The memoized records outlive a test, so without this a test could read
-    parts computed by an earlier one and never reach the code it patches.
-    A test that must build the same record twice from scratch calls the
-    returned function in between.
+    Analysis records and scale views live on their space and go with it; the
+    exact search's module-level ``lru_cache`` is the one memo left that
+    outlives a test, kept because the benchmark tracer reads its cache
+    statistics. Without this a test could read a search run by an earlier
+    one on an equal space and never reach the code it patches. A test that
+    must search the same space twice from scratch builds a fresh, equal space
+    and calls the returned function in between.
     """
-    _clear_memos()
-    return _clear_memos
+    clear = cc.clustering.exact_structure.cache_clear
+    clear()
+    return clear
 
 # Three points with distances 0.5, 2, 4: one pair of every edge class at r=1.
 S3_LABELS = ["p0", "p1", "p2"]

@@ -416,16 +416,22 @@ def multiplicity_spaces(draw, max_n: int = 7, max_copies: int = 3):
 def reference_as_fraction(text: str) -> Fraction:
     """``space.as_fraction`` of a string, read by ``fractions.Fraction`` once the text
     is in the form that every supported Python's ``Fraction`` reads alike: stripped,
-    with no whitespace around "/" and no "_" between two digits."""
+    with no whitespace around "/" and no "_" between two digits. A digit run of the
+    mantissa longer than 4300 digits is refused whatever the process's digit limit.
+    A message quotes a token of over 40 characters by its first 40 and its length."""
     plain = re.sub(r"(?<=\d)_(?=\d)", "", re.sub(r"\s*/\s*", "/", text.strip()))
     exponent = re.search(r"[eE]([-+]?\d+)\Z", plain)
     huge = exponent and (len(exponent[1]) > 4300 or abs(int(exponent[1])) > 4300)
+    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
     try:  # a huge exponent is refused only if the text is a number but for it
+        mantissa = plain[: exponent.start()] if exponent else plain
+        if any(len(run) > 4300 for run in re.findall(r"\d+", mantissa)):
+            raise ValueError("more digits than the cap")
         q = Fraction(plain[: exponent.start(1)] + "0" if huge else plain)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+        raise ValueError(f"not a rational number: {shown}") from exc
     if huge:
-        raise ValueError(f"exponent of {text!r} exceeds 4300 in magnitude")
+        raise ValueError(f"exponent of {shown} exceeds 4300 in magnitude")
     return q
 
 

@@ -193,16 +193,17 @@ def test_criterion_6_discretization_sandwich():
 
 def test_criterion_7_determinism(clear_memos):
     """Identical seeds and configs produce byte-identical artifacts."""
-    space = cc.tight_instance(cc.TightInstanceSpec(k=2, m=2, m0=3, r=Fraction(1)))
+    spec = cc.TightInstanceSpec(k=2, m=2, m0=3, r=Fraction(1))
     params = cc.ScaleParams(r=Fraction(1), k=2)
 
     def fresh(build):
-        # Each build starts from empty memos, so the two artifacts compared
-        # are computed twice, not one memoized object read twice.
+        # Each build starts from an empty search memo and reads records of its
+        # own spaces, so the two artifacts compared are computed twice, not
+        # one memoized object read twice.
         clear_memos()
         return cc.write_report(build()).encode()
 
-    cert_bytes = [fresh(lambda: cc.build_certificate(space, params)) for _ in range(2)]
+    cert_bytes = [fresh(lambda: cc.build_certificate(cc.tight_instance(spec), params)) for _ in range(2)]
     assert cert_bytes[0] == cert_bytes[1]
 
     config = verify.SuiteConfig(seed=42, trials=25, max_n=8)

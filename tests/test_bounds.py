@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import clustercert as cc
 
 import oracles
+from conftest import S3_LABELS, S3_MATRIX
 
 TENTH4 = Fraction(1, 10**4)
 
@@ -333,20 +334,21 @@ class TestOneViewPerScale:
 
 class TestBuildCertificate:
     def test_shared_record_reads_alike_across_threads(self, clear_memos):
-        # Threads that read one memoized record at once may compute a part
-        # twice, but every reader sees the same certificate.
+        # Threads that build and read one memoized record at once may compute
+        # a part twice, but every reader gets the same record and report.
         space = cc.planted_instance(2, [5, 4], 0, 1, seed=5)
         params = cc.ScaleParams(r=1, k=2)
         limit = cc.clustering.DEFAULT_EXACT_LIMIT
         expected = cc.write_report(cc.bounds.BoundCertificate(space, params, limit, None))
         clear_memos()
-        reports = []
-        readers = [
-            threading.Thread(
-                target=lambda: reports.append(cc.write_report(cc.build_certificate(space, params)))
-            )
-            for _ in range(6)
-        ]
+        records, reports = [], []
+
+        def read():
+            record = cc.build_certificate(space, params)
+            records.append(record)
+            reports.append(cc.write_report(record))
+
+        readers = [threading.Thread(target=read) for _ in range(6)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -358,6 +360,15 @@ class TestBuildCertificate:
             sys.setswitchinterval(interval)
         assert not any(reader.is_alive() for reader in readers)
         assert reports == [expected] * len(readers)
+        assert {id(record) for record in records} == {id(cc.build_certificate(space, params))}
+
+    def test_one_record_per_space_object(self, s3, s3_params):
+        # The record lives on the space object: equal but distinct spaces get
+        # their own, and every spelling of r on one space reads the same one.
+        twin = cc.build_space(S3_LABELS, S3_MATRIX)
+        assert twin == s3 and cc.build_certificate(twin, s3_params) is not cc.build_certificate(s3, s3_params)
+        records = {id(cc.build_certificate(s3, cc.ScaleParams(r=r, k=2))) for r in (1, "1", "1.0", Fraction(1))}
+        assert records == {id(cc.build_certificate(s3, s3_params))}
 
     def test_three_point_certificate(self, s3, s3_params):
         cert = cc.build_certificate(s3, s3_params)
@@ -422,8 +433,12 @@ class TestBuildCertificate:
 
     def test_serialization_is_byte_stable(self, tight9, tight9_params, clear_memos):
         first = cc.write_report(cc.build_certificate(tight9, tight9_params))
-        clear_memos()  # rebuild the record instead of reading the memoized one
-        second = cc.write_report(cc.build_certificate(tight9, tight9_params))
+        # A fresh, equal space has its own record, and with the search memo
+        # cleared its search runs again: the second report is computed anew.
+        twin = cc.tight_instance(cc.TightInstanceSpec(k=2, m=3, m0=3, r=Fraction(1)))
+        assert twin == tight9 and twin is not tight9
+        clear_memos()
+        second = cc.write_report(cc.build_certificate(twin, tight9_params))
         assert first == second
         obj_keys = set(cc.build_certificate(tight9, tight9_params).to_obj())
         assert {"n", "r", "k", "counts", "observed", "precondition", "psi", "legacy", "greedy", "exact"} <= obj_keys

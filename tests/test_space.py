@@ -104,9 +104,12 @@ class TestWithin:
         assert s3.within(Fraction(1, 2)) == (0b011, 0b011, 0b100)
 
     def test_memo_does_not_keep_the_space_alive(self):
+        # Scale views and a certificate's record live in the space's memo and go with
+        # it. The search is refused: a space whose exact search ran stays in that search's memo.
         space = cc.build_space(["a", "b"], [["0", "1"], ["1", "0"]])
         space._scale(1)
         hash(space)
+        assert cc.build_certificate(space, cc.ScaleParams(r=1, k=1), exact_limit=0).to_obj()["exact"]["note"]
         ref = weakref.ref(space)
         del space
         gc.collect()
@@ -657,12 +660,56 @@ class TestGrammar:
         if expected is None:
             with pytest.raises(ValueError) as info:
                 cc.as_fraction(token)
-            assert str(info.value) == f"not a rational number: {token!r}"
+            shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+            assert str(info.value) == f"not a rational number: {shown}"
         else:
             q = cc.as_fraction(token)
             assert type(q) is Fraction and q == expected
         for text in (token, f" {token}\t"):
             assert outcome_of(cc.as_fraction, text) == outcome_of(oracles.reference_as_fraction, text)
+
+
+class TestDigitCap:
+    """Each digit group of a token (whole, fraction, denominator) holds at most 4300
+    digits, "_" not counted, whatever the process's own int-from-text limit."""
+
+    ACCEPTED = ["1" * 4300, "1_" * 4299 + "1", "1/" + "7" * 4300, "0." + "3" * 4300, "٣" * 4300]
+    REFUSED = ["1" * 4301, "1_" * 4300 + "1", "1/" + "7" * 4301, "0." + "3" * 4301, "٣" * 4301 + "e1"]
+
+    @pytest.mark.parametrize("token", ACCEPTED, ids=range(len(ACCEPTED)))
+    def test_accepted(self, token):
+        q = cc.as_fraction(token)
+        assert q == oracles.reference_as_fraction(token)
+
+    @pytest.mark.parametrize("token", REFUSED, ids=range(len(REFUSED)))
+    def test_refused(self, token):
+        with pytest.raises(ValueError, match="^not a rational number: "):
+            cc.as_fraction(token)
+
+    def test_one_outcome_without_a_process_limit(self):
+        script = (
+            "import clustercert as cc\n"
+            "try:\n"
+            "    cc.load_space('1\\na\\n' + '0' * 5000 + '\\n')\n"
+            "except cc.SpaceFormatError as exc:\n"
+            "    print(exc)\n"
+            "print(cc.as_fraction('1' * 4300) == 10**4300 // 9)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONINTMAXSTRDIGITS": "0"}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        with pytest.raises(SpaceFormatError) as info:
+            cc.load_space("1\na\n" + "0" * 5000 + "\n")
+        assert run.stdout.splitlines() == [str(info.value), "True"]
+
+    @pytest.mark.parametrize("token", ["1" * 5000, "x" * 5000, "1e" + "9" * 4998, "1/" + "0" * 4998], ids=range(4))
+    def test_messages_quote_a_bounded_prefix(self, token):
+        with pytest.raises(ValueError) as info:
+            cc.as_fraction(token)
+        message = str(info.value)
+        assert len(message) < 120 and token[:40] in message and "(5000 characters)" in message
+        with pytest.raises(SpaceFormatError) as info:
+            cc.load_space(f"2\na b\n0 {token}\n{token} 0\n")
+        assert len(str(info.value)) < 160
 
 
 class TestExponent:
